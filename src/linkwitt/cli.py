@@ -40,13 +40,20 @@ class SchemaError(ValueError):
 # input parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int, but true/false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_matrix(obj, n: int, what: str) -> QMatrix:
     if (not isinstance(obj, list) or len(obj) != n
             or any(not isinstance(r, list) or len(r) != n for r in obj)):
         raise SchemaError(f"{what}: expected a {n}x{n} matrix")
+    if any(isinstance(x, bool) for row in obj for x in row):
+        raise SchemaError(f"{what}: bad rational entry (boolean)")
     try:
         return QMatrix(n, n, [[rat(x) for x in row] for row in obj])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: bad rational entry ({exc})")
 
 
@@ -63,11 +70,11 @@ def load_input(path: str):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
     mu, ring, dim = doc["mu"], doc["ring"], doc["dim"]
-    if not isinstance(mu, int) or mu < 1:
+    if not _is_int(mu) or mu < 1:
         raise SchemaError("mu must be a positive integer")
     if ring not in ("Z", "Q"):
         raise SchemaError('ring must be "Z" or "Q"')
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise SchemaError("dim must be a nonnegative integer")
     s = _parse_matrix(doc["s"], dim, "s")
     proj = doc["projections"]
@@ -76,7 +83,7 @@ def load_input(path: str):
     if proj["type"] == "blocks":
         sizes = proj.get("sizes")
         if (not isinstance(sizes, list) or len(sizes) != mu
-                or any(not isinstance(x, int) or x < 0 for x in sizes)):
+                or any(not _is_int(x) or x < 0 for x in sizes)):
             raise SchemaError("projections.sizes must list mu sizes")
         if sum(sizes) != dim:
             raise SchemaError("projection blocks must sum to dim")
@@ -95,7 +102,7 @@ def load_input(path: str):
         fdoc = doc["form"]
         if not isinstance(fdoc, dict) or "zeta" not in fdoc or "phi" not in fdoc:
             raise SchemaError("form must carry zeta and phi")
-        if fdoc["zeta"] not in (1, -1):
+        if not _is_int(fdoc["zeta"]) or fdoc["zeta"] not in (1, -1):
             raise SchemaError("zeta must be +1 or -1")
         phi = _parse_matrix(fdoc["phi"], dim, "phi")
         form = SeifertForm(module, fdoc["zeta"], phi)

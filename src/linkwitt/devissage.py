@@ -20,16 +20,19 @@ are decided exactly by Hilbert symbols on the norm form.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, QMatrix, RowSpace, factor_rational_poly,
-                       minimal_polynomial, solve_or_kernel)
+from .rational import (Q0, QMatrix, RowSpace, factor_int,
+                       factor_rational_poly, kernel_columns, lincomb,
+                       minimal_polynomial, solve_or_kernel, span_coordinates,
+                       spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
                       SeifertMorphism, find_isomorphism, hom_space,
-                      induced_form_on_subquotient, perp_basis, restrict_form,
-                      spin_submodule, submodule_from_basis)
+                      induced_form_on_subquotient, perp_basis, quotient_module,
+                      restrict_form, submodule_from_basis)
 from . import endofield
 
 
@@ -56,13 +59,9 @@ def algebra_basis(V: SeifertModule) -> list:
         return []
     space = RowSpace(n * n)
     basis = []
-
-    def vec(m):
-        return [x for row in m.data for x in row]
-
     queue = []
     for m in [QMatrix.identity(n)] + V.generators():
-        if space.add(vec(m)):
+        if space.add(m.flat()):
             basis.append(m)
             queue.append(m)
     gens = V.generators()
@@ -70,13 +69,13 @@ def algebra_basis(V: SeifertModule) -> list:
         m = queue.pop()
         for g in gens:
             prod = m * g
-            if space.add(vec(prod)):
+            if space.add(prod.flat()):
                 basis.append(prod)
                 queue.append(prod)
     return basis
 
 
-def algebra_radical(basis: list, n: int) -> list:
+def algebra_radical(basis: list) -> list:
     """Jacobson radical of the algebra spanned by `basis` acting faithfully
     on Q^n: kernel of the trace form (x, y) -> Tr(x y)."""
     k = len(basis)
@@ -84,13 +83,9 @@ def algebra_radical(basis: list, n: int) -> list:
         return []
     gram = QMatrix(k, k, [[_trace(basis[i] * basis[j]) for j in range(k)]
                           for i in range(k)])
-    res = solve_or_kernel(gram)
     out = []
-    for coeffs in res.kernel:
-        m = QMatrix.zeros(n, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
+    for coeffs in solve_or_kernel(gram).kernel:
+        m = lincomb(coeffs, basis)
         if not m.is_zero():
             out.append(m)
     return out
@@ -122,32 +117,18 @@ def _element_stream(V: SeifertModule):
     words = [g for g in gens]
     for _ in range(12):
         # short random words with small integer coefficients
-        acc = QMatrix.zeros(V.dim, V.dim)
+        terms, coeffs = [], []
         for _ in range(rng.randint(2, 4)):
             w = QMatrix.identity(V.dim)
             for _ in range(rng.randint(1, 3)):
                 w = w * rng.choice(words)
-            acc = acc + w.scale(rng.randint(-3, 3))
-        yield acc
+            terms.append(w)
+            coeffs.append(rng.randint(-3, 3))
+        yield lincomb(coeffs, terms)
 
 
-def _spin_matrices(mats: list, vectors, width: int) -> RowSpace:
-    space = RowSpace(width)
-    queue = []
-    for v in vectors:
-        if space.add(v):
-            queue.append(list(v))
-    while queue:
-        v = queue.pop()
-        for m in mats:
-            w = m.apply(v)
-            if space.add(w):
-                queue.append(w)
-    return space
-
-
-def _kernel_basis(m: QMatrix) -> list:
-    return solve_or_kernel(m).kernel
+def _columns(m: QMatrix) -> list:
+    return [m.col(j) for j in range(m.cols)]
 
 
 def _simplicity_witness(V: SeifertModule):
@@ -168,37 +149,35 @@ def _simplicity_witness(V: SeifertModule):
             continue
         _, factors = factor_rational_poly(mp)
         for p, _mult in factors:
-            pa = p.eval_matrix(a)
-            ker = _kernel_basis(pa)
+            ker = _columns(kernel_columns(p.eval_matrix(a)))
             for v in ker:
-                spun = _spin_matrices(gens, [v], n)
+                spun = spin(gens, [v], n)
                 if 0 < spun.dim() < n:
                     sub, incl = submodule_from_basis(
                         V, spun.basis_matrix().transpose())
                     return "submodule", incl
             if len(ker) == p.degree():
                 # Norton certification: one vector on each side suffices
-                ker_t = _kernel_basis(p.eval_matrix(a.transpose()))
-                spun_t = _spin_matrices(gens_t, [ker_t[0]], n)
+                ker_t = kernel_columns(p.eval_matrix(a.transpose()))
+                spun_t = spin(gens_t, [ker_t.col(0)], n)
                 if spun_t.dim() == n:
                     return "simple", SimpleCertificate(
                         "norton",
                         {"element_index": count, "factor": p})
-                ann = solve_or_kernel(spun_t.basis_matrix()).kernel
-                sub_basis = QMatrix.from_rows(ann).transpose()
-                sub, incl = submodule_from_basis(V, sub_basis)
+                sub, incl = submodule_from_basis(
+                    V, kernel_columns(spun_t.basis_matrix()))
                 return "submodule", incl
         if count >= 7:
             break
 
     # complete fallback: algebra radical, then the endomorphism ring
     basis = algebra_basis(V)
-    rad = algebra_radical(basis, n)
+    rad = algebra_radical(basis)
     if rad:
         cols = []
         for m in rad:
             cols.extend([m.col(j) for j in range(n)])
-        spun = _spin_matrices(gens, cols, n)
+        spun = spin(gens, cols, n)
         assert 0 < spun.dim() < n
         sub, incl = submodule_from_basis(V, spun.basis_matrix().transpose())
         return "submodule", incl
@@ -217,19 +196,14 @@ def _semisimple_witness(V: SeifertModule):
         return "simple", SimpleCertificate("schur-field", {"end_dim": 1})
 
     def witness_from(mat: QMatrix):
-        ker = _kernel_basis(mat)
-        sub_basis = QMatrix.from_rows(ker).transpose()
-        sub, incl = submodule_from_basis(V, sub_basis)
+        sub, incl = submodule_from_basis(V, kernel_columns(mat))
         return "submodule", incl
 
     rng = random.Random(_STREAM_RNG_SEED ^ 0xE11D)
     candidates = list(ends)
     candidates += [a + b for a, b in itertools.combinations(ends, 2)]
     for _ in range(60):
-        combo = QMatrix.zeros(n, n)
-        for b in ends:
-            combo = combo + b.scale(rng.randint(-4, 4))
-        candidates.append(combo)
+        candidates.append(lincomb([rng.randint(-4, 4) for _b in ends], ends))
 
     commutative = all((a * b - b * a).is_zero()
                       for a, b in itertools.combinations(ends, 2))
@@ -255,7 +229,7 @@ def _semisimple_witness(V: SeifertModule):
             "ring; enlarge the search budget")
 
     # noncommutative endomorphism ring: quaternion over Q is decidable
-    center = _algebra_center(ends)
+    center = endofield.algebra_center(ends)
     if len(center) == 1 and k == 4:
         quac = _quaternion_data(ends)
         if quac is None:
@@ -270,38 +244,12 @@ def _semisimple_witness(V: SeifertModule):
             raise SimplicityUndecided("split quaternion algebra: no small "
                                       "conic point found")
         z, x, y = sol
-        u = QMatrix.identity(ends[0].rows).scale(z) + i_mat.scale(x) \
-            + j_mat.scale(y)
+        u = lincomb([z, x, y], [QMatrix.identity(n), i_mat, j_mat])
         assert not u.is_zero() and u.det() == 0
         return witness_from(u)
     raise SimplicityUndecided(
         f"cannot certify simplicity: endomorphism ring of dimension {k} "
         f"with center of dimension {len(center)}")
-
-
-def _algebra_center(basis: list) -> list:
-    """Basis of the center of the algebra spanned by `basis` (assumed
-    multiplicatively closed up to span)."""
-    k = len(basis)
-    n = basis[0].rows
-    rows = []
-    for b in basis:
-        for i in range(n):
-            for j in range(n):
-                row = []
-                for c in basis:
-                    comm = c * b - b * c
-                    row.append(comm.data[i][j])
-                rows.append(row)
-    res = solve_or_kernel(QMatrix.from_rows(rows))
-    out = []
-    for coeffs in res.kernel:
-        m = QMatrix.zeros(n, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
-        out.append(m)
-    return out
 
 
 def _quaternion_data(ends: list):
@@ -312,23 +260,14 @@ def _quaternion_data(ends: list):
         traces = [_regular_trace(ends, b) for b in ends]
     except SeifertError:
         return None
-    system = QMatrix.from_rows([[t] for t in traces]).transpose()
-    res = solve_or_kernel(system)
-    zero_trace = []
-    for coeffs in res.kernel:
-        m = QMatrix.zeros(n, n)
-        for c, b in zip(coeffs, ends):
-            if c:
-                m = m + b.scale(c)
-        zero_trace.append(m)
+    system = QMatrix.from_rows([traces])
+    zero_trace = [lincomb(coeffs, ends)
+                  for coeffs in solve_or_kernel(system).kernel]
     if len(zero_trace) != 3:
         return None
     i_mat = zero_trace[0]
-    sq = i_mat * i_mat
-    a = _scalar_of(sq)
-    if a is None:
-        return None
-    if a == 0:
+    a = _scalar_of(i_mat * i_mat)
+    if a in (None, 0):
         return None
     # anticommutant of i inside the trace-zero part
     for cand in zero_trace[1:] + [zero_trace[1] + zero_trace[2],
@@ -339,19 +278,11 @@ def _quaternion_data(ends: list):
             if b_val not in (None, 0):
                 return a, b_val, i_mat, cand
     # solve the linear anticommutation system
-    rows = []
-    for idx in range(n * n):
-        row = []
-        for z in zero_trace:
-            anti = i_mat * z + z * i_mat
-            row.append(anti.data[idx // n][idx % n])
-        rows.append(row)
-    res = solve_or_kernel(QMatrix.from_rows(rows))
-    for coeffs in res.kernel:
-        j_mat = QMatrix.zeros(n, n)
-        for c, z in zip(coeffs, zero_trace):
-            if c:
-                j_mat = j_mat + z.scale(c)
+    antis = [i_mat * z + z * i_mat for z in zero_trace]
+    rows = [[anti.data[idx // n][idx % n] for anti in antis]
+            for idx in range(n * n)]
+    for coeffs in solve_or_kernel(QMatrix.from_rows(rows)).kernel:
+        j_mat = lincomb(coeffs, zero_trace)
         if j_mat.is_zero():
             continue
         b_val = _scalar_of(j_mat * j_mat)
@@ -362,24 +293,10 @@ def _quaternion_data(ends: list):
 
 def _regular_trace(basis: list, x: QMatrix) -> Fraction:
     """Trace of left multiplication by x on the span of basis."""
-    tr = Q0
-    for idx, b in enumerate(basis):
-        coeffs = _express_in_span(basis, x * b)
-        if coeffs is None:
-            raise SeifertError("span is not multiplicatively closed")
-        tr += coeffs[idx]
-    return tr
-
-
-def _express_in_span(basis: list, m: QMatrix):
-    n = m.rows
-    A = QMatrix.from_rows([[x for row in b.data for x in row]
-                           for b in basis]).transpose()
-    target = QMatrix.column([x for row in m.data for x in row])
-    res = solve_or_kernel(A, target)
-    if res.particular in (None, "inconsistent"):
-        return None
-    return res.particular
+    coeffs = span_coordinates(basis, [x * b for b in basis])
+    if coeffs is None:
+        raise SeifertError("span is not multiplicatively closed")
+    return sum((coeffs.data[i][i] for i in range(len(basis))), Q0)
 
 
 def _scalar_of(m: QMatrix):
@@ -400,7 +317,6 @@ def _quaternion_is_division(a: Fraction, b: Fraction) -> bool:
 
 
 def _prime_support(x: Fraction):
-    from .rational import factor_int
     n = abs(x.numerator * x.denominator)
     return factor_int(n).keys() if n > 1 else []
 
@@ -414,7 +330,6 @@ def _solve_conic(a: Fraction, b: Fraction):
     A = int(a * da * da * db * db)   # a -> A with x scaled
     B = int(b * db * db * da * da)
     # search z^2 = A x^2 + B y^2 over small integers
-    bound = max(64, abs(A) + abs(B))
     for x in range(0, 40):
         for y in range(0, 40):
             if x == 0 and y == 0:
@@ -422,17 +337,11 @@ def _solve_conic(a: Fraction, b: Fraction):
             val = A * x * x + B * y * y
             if val < 0:
                 continue
-            z = _isqrt(val)
+            z = math.isqrt(val)
             if z * z == val:
                 return (Fraction(z), Fraction(x * da * db),
                         Fraction(y * da * db))
-    _ = bound
     return None
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n) if n >= 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +384,14 @@ def composition_series(V: SeifertModule):
     if V.validate() is not None:
         raise SeifertError(V.validate())
     steps = []
-    basis = QMatrix.zeros(V.dim, 0)
-    while basis.cols < V.dim:
-        sub, incl = submodule_from_basis(V, basis)
-        quot, proj, section = _quotient_by_basis(V, basis)
-        simple, s_incl, cert = find_simple_submodule(quot)
-        lifted = section * s_incl.matrix
-        basis = basis.hstack(lifted) if basis.cols else lifted
-        sub2, incl2 = submodule_from_basis(V, basis)
-        steps.append((incl2, simple))
+    _sub, incl = submodule_from_basis(V, QMatrix.zeros(V.dim, 0))
+    while incl.matrix.cols < V.dim:
+        quot, _proj, section = quotient_module(V, incl)
+        simple, s_incl, _cert = find_simple_submodule(quot)
+        basis = incl.matrix.hstack(section * s_incl.matrix)
+        _sub, incl = submodule_from_basis(V, basis)
+        steps.append((incl, simple))
     return steps
-
-
-def _quotient_by_basis(V: SeifertModule, basis: QMatrix):
-    from .seifert import quotient_module
-    sub, incl = submodule_from_basis(V, basis)
-    return quotient_module(V, incl)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +433,14 @@ def _isotropic_candidate(f: SeifertForm):
         if mp.degree() >= 1:
             _, factors = factor_rational_poly(mp)
             for p, _mult in factors:
-                ker = _kernel_basis(p.eval_matrix(a))
+                ker = _columns(kernel_columns(p.eval_matrix(a)))
                 vectors = list(ker)
                 for i, j in itertools.islice(
                         itertools.combinations(range(len(ker)), 2), 24):
                     vectors.append([x + y for x, y in zip(ker[i], ker[j])])
                     vectors.append([x - y for x, y in zip(ker[i], ker[j])])
                 for v in vectors:
-                    spun = _spin_matrices(gens, [v], n)
+                    spun = spin(gens, [v], n)
                     d = spun.dim()
                     if not 0 < d < n:
                         continue
@@ -687,10 +588,8 @@ def _pair_cancels(module: SeifertModule, f1: SeifertForm,
     candidates += [a + b2 for a, b2 in itertools.combinations(basis, 2)]
     candidates += [a - b2 for a, b2 in itertools.combinations(basis, 2)]
     for _ in range(60):
-        combo = QMatrix.zeros(module.dim, module.dim)
-        for m in basis:
-            combo = combo + m.scale(rng.randint(-2, 2))
-        candidates.append(combo)
+        candidates.append(lincomb([rng.randint(-2, 2) for _m in basis],
+                                  basis))
     for u in candidates:
         if u.is_zero():
             continue

@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, factor_rational_poly,
-                       is_irreducible, minimal_polynomial, solve_or_kernel,
-                       squarefree_part)
+from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace,
+                       factor_rational_poly, is_irreducible, kernel_columns,
+                       lincomb, minimal_polynomial, solve_or_kernel,
+                       span_coordinates, squarefree_part)
 from .seifert import SeifertForm, SeifertModule, hom_space
 
 
@@ -60,20 +61,16 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
         raise EndomorphismError("empty endomorphism ring")
     # normalize: identity first
     ident = QMatrix.identity(M.dim)
-    coeffs = _express(basis, ident)
-    if coeffs is None:
+    if span_coordinates(basis, [ident]) is None:
         raise EndomorphismError("identity not in the endomorphism ring")
     basis = _basis_with_identity_first(basis, ident)
-    structure = []
-    for a in basis:
-        row = []
-        for b in basis:
-            c = _express(basis, a * b)
-            if c is None:
-                raise EndomorphismError("endomorphism ring not closed "
-                                        "under composition")
-            row.append(c)
-        structure.append(row)
+    products = span_coordinates(basis, [a * b for a in basis for b in basis])
+    if products is None:
+        raise EndomorphismError("endomorphism ring not closed "
+                                "under composition")
+    k = len(basis)
+    structure = [[products.col(i * k + j) for j in range(k)]
+                 for i in range(k)]
     ring = EndomorphismRing(M, basis, structure)
     if not assume_simple:
         for b in basis:
@@ -89,24 +86,13 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
 
 def _basis_with_identity_first(basis: list, ident: QMatrix) -> list:
     out = [ident]
-    from .rational import RowSpace
     n = ident.rows
     space = RowSpace(n * n)
-    space.add([x for row in ident.data for x in row])
+    space.add(ident.flat())
     for b in basis:
-        if space.add([x for row in b.data for x in row]):
+        if space.add(b.flat()):
             out.append(b)
     return out
-
-
-def _express(basis: list, m: QMatrix):
-    A = QMatrix.from_rows([[x for row in b.data for x in row]
-                           for b in basis]).transpose()
-    res = solve_or_kernel(A, QMatrix.column([x for row in m.data
-                                             for x in row]))
-    if res.particular in (None, "inconsistent"):
-        return None
-    return res.particular
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +136,7 @@ def as_number_field(ring: EndomorphismRing):
     primitive element; classify noncommutative rings and return a
     NoncommutativeEndomorphism marker instead."""
     if not ring.is_commutative():
-        center = _center_dim(ring)
+        center = len(algebra_center(ring.basis))
         quaternion = (ring.dim == 4 * center)
         return NoncommutativeEndomorphism(ring, center, quaternion)
     d = ring.dim
@@ -158,10 +144,8 @@ def as_number_field(ring: EndomorphismRing):
     candidates = list(ring.basis)
     candidates += [a + b for a, b in itertools.combinations(ring.basis, 2)]
     for _ in range(6 * d):
-        combo = QMatrix.zeros(ring.module.dim, ring.module.dim)
-        for b in ring.basis:
-            combo = combo + b.scale(rng.randint(-3, 3))
-        candidates.append(combo)
+        candidates.append(lincomb([rng.randint(-3, 3) for _b in ring.basis],
+                                  ring.basis))
     for theta in candidates:
         mp = minimal_polynomial(theta)
         if mp.degree() == d:
@@ -172,15 +156,15 @@ def as_number_field(ring: EndomorphismRing):
     raise EndomorphismError("no primitive element found; enlarge the budget")
 
 
-def _center_dim(ring: EndomorphismRing) -> int:
-    n = ring.module.dim
-    rows = []
-    for b in ring.basis:
-        for i in range(n):
-            for j in range(n):
-                rows.append([(c * b - b * c).data[i][j] for c in ring.basis])
-    res = solve_or_kernel(QMatrix.from_rows(rows))
-    return len(res.kernel)
+def algebra_center(basis: list) -> list:
+    """Basis of the center of the algebra spanned by `basis` (assumed
+    multiplicatively closed up to span)."""
+    n = basis[0].rows
+    comms = [[c * b - b * c for c in basis] for b in basis]
+    rows = [[comm.data[i][j] for comm in row]
+            for row in comms for i in range(n) for j in range(n)]
+    return [lincomb(coeffs, basis)
+            for coeffs in solve_or_kernel(QMatrix.from_rows(rows)).kernel]
 
 
 # field elements are QPoly of degree < nf.degree, arithmetic mod minpoly
@@ -229,10 +213,10 @@ def matrix_to_element(nf, m: QMatrix) -> QPoly:
     powers = [QMatrix.identity(m.rows)]
     for _ in range(d - 1):
         powers.append(powers[-1] * nf.embedding)
-    coeffs = _express(powers, m)
+    coeffs = span_coordinates(powers, [m])
     if coeffs is None:
         raise EndomorphismError("endomorphism outside the generated field")
-    return QPoly(coeffs)
+    return QPoly(coeffs.col(0))
 
 
 def involution_from_form(nf: NumberFieldWithInvolution,
@@ -252,20 +236,10 @@ def involution_from_form(nf: NumberFieldWithInvolution,
     twice = image.compose(image) % nf.minpoly
     if twice != QPoly.x() % nf.minpoly:
         raise EndomorphismError("induced map is not an involution")
-    fixed = _fixed_degree(nf.minpoly, image)
-    return NumberFieldWithInvolution(nf.minpoly, nf.embedding, nf.module,
-                                     image, fixed)
-
-
-def _fixed_degree(minpoly: QPoly, image: QPoly) -> int:
-    d = minpoly.degree()
-    rows = []
-    for k in range(d):
-        xk = QPoly([Q0] * k + [Q1])
-        diff = (xk.compose(image) % minpoly) - xk
-        rows.append([diff.coeff(i) for i in range(d)])
-    res = solve_or_kernel(QMatrix.from_rows(rows).transpose())
-    return len(res.kernel)
+    out = NumberFieldWithInvolution(nf.minpoly, nf.embedding, nf.module,
+                                    image)
+    out.fixed_field_degree = len(fixed_field_basis(out))
+    return out
 
 
 def fixed_field_basis(nf: NumberFieldWithInvolution) -> list:
@@ -276,8 +250,8 @@ def fixed_field_basis(nf: NumberFieldWithInvolution) -> list:
         xk = QPoly([Q0] * k + [Q1])
         diff = (xk.compose(nf.involution_image) % nf.minpoly) - xk
         rows.append([diff.coeff(i) for i in range(d)])
-    res = solve_or_kernel(QMatrix.from_rows(rows).transpose())
-    return [QPoly(v) for v in res.kernel]
+    K = kernel_columns(QMatrix.from_rows(rows).transpose())
+    return [QPoly(K.col(j)) for j in range(K.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +332,11 @@ def classify_noncommutative(nc: NoncommutativeEndomorphism,
         return nc.table_row()
     B = b.phi
     B_inv = B.inverse()
-    fixed_dim = 0
-    center_fixed = True
     basis = nc.ring.basis
-    rows = []
-    n = nc.ring.module.dim
-    for m in basis:
-        conj = B_inv * m.transpose() * B
-        coeffs = _express(basis, conj)
-        if coeffs is None:
-            return "noncommutative (involution leaves the ring?)"
-        rows.append(coeffs)
-    k = len(basis)
-    mat = QMatrix.from_rows(rows).transpose() - QMatrix.identity(k)
-    fixed_dim = len(solve_or_kernel(mat).kernel)
+    conj = span_coordinates(basis, [B_inv * m.transpose() * B for m in basis])
+    if conj is None:
+        return "noncommutative (involution leaves the ring?)"
+    fixed_dim = kernel_columns(conj - QMatrix.identity(len(basis))).cols
     if not nc.is_quaternion:
         return "noncommutative, non-quaternion"
     if fixed_dim == nc.center_dim:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import QMatrix, solve_or_kernel
+from .rational import QMatrix, kernel_columns, spin
 from .seifert import (SeifertError, SeifertModule, SeifertMorphism,
                       hom_space, quotient_module, submodule_from_basis)
 
@@ -23,10 +23,7 @@ def _stacked_kernel(mats) -> QMatrix:
     stacked = mats[0]
     for m in mats[1:]:
         stacked = stacked.vstack(m)
-    res = solve_or_kernel(stacked)
-    if not res.kernel:
-        return QMatrix.zeros(mats[0].cols, 0)
-    return QMatrix.from_rows(res.kernel).transpose()
+    return kernel_columns(stacked)
 
 
 def trivial_socle(V: SeifertModule):
@@ -85,19 +82,14 @@ def max_primitive_submodule(V: SeifertModule):
             layer.append(f"s=1 layer of dim {w1.dim}")
         # the lifted span is invariant: it is the preimage of an invariant
         # subspace of the quotient
-        sub2, incl2 = submodule_from_basis(V, _column_space(lifted))
+        column_space = spin([], [lifted.col(j) for j in range(lifted.cols)],
+                            lifted.rows)
+        sub2, incl2 = submodule_from_basis(
+            V, column_space.basis_matrix().transpose())
         basis = incl2.matrix
         filtration.append(" + ".join(layer))
     sub, incl = submodule_from_basis(V, basis)
     return incl, filtration
-
-
-def _column_space(m: QMatrix) -> QMatrix:
-    from .rational import RowSpace
-    space = RowSpace(m.rows)
-    for j in range(m.cols):
-        space.add(m.col(j))
-    return space.basis_matrix().transpose()
 
 
 def min_coprimitive(V: SeifertModule) -> SeifertMorphism:
@@ -109,10 +101,7 @@ def min_coprimitive(V: SeifertModule) -> SeifertMorphism:
     if U.cols == 0:
         sub, incl = submodule_from_basis(V, QMatrix.identity(V.dim))
         return incl
-    res = solve_or_kernel(U.transpose())
-    basis = QMatrix.from_rows(res.kernel).transpose() if res.kernel \
-        else QMatrix.zeros(V.dim, 0)
-    sub, incl = submodule_from_basis(V, basis)
+    sub, incl = submodule_from_basis(V, kernel_columns(U.transpose()))
     return incl
 
 

@@ -97,6 +97,10 @@ class QMatrix:
     def col(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
+    def flat(self) -> list:
+        """Entries in row-major order."""
+        return [x for row in self.data for x in row]
+
     def copy(self) -> "QMatrix":
         return QMatrix(self.rows, self.cols, [list(r) for r in self.data])
 
@@ -281,6 +285,8 @@ def solve_or_kernel(M: QMatrix, b: QMatrix | None = None) -> SolveResult:
     if b is not None:
         if b.rows != n:
             raise ValueError("dimension mismatch")
+        if b.cols != 1:
+            raise ValueError("right-hand side must be a single column")
         aug = M.hstack(b)
     want_inverse = M.is_square()
     if want_inverse:
@@ -288,36 +294,87 @@ def solve_or_kernel(M: QMatrix, b: QMatrix | None = None) -> SolveResult:
     R, pivots = aug.rref()
     pivots_main = [c for c in pivots if c < m]
     rank = len(pivots_main)
-
-    kernel = []
-    pivset = set(pivots_main)
-    free = [c for c in range(m) if c not in pivset]
-    for fc in free:
-        v = [Q0] * m
-        v[fc] = Q1
-        for r, pc in enumerate(pivots_main):
-            v[pc] = -R.data[r][fc]
-        kernel.append(v)
+    kernel = _kernel_vectors(R, pivots_main, m)
 
     particular = None
     if b is not None:
-        bcol = m  # single-column rhs expected
-        if b.cols != 1:
-            raise ValueError("right-hand side must be a single column")
-        consistent = all(R.data[r][bcol] == 0 for r in range(rank, n))
-        if not consistent:
+        if any(R.data[r][m] for r in range(rank, n)):
             particular = "inconsistent"
         else:
-            v = [Q0] * m
-            for r, pc in enumerate(pivots_main):
-                v[pc] = R.data[r][bcol]
-            particular = v
+            particular = [row[0] for row in
+                          _solution_rows(R, pivots_main, m, 1)]
 
     inverse = None
     if want_inverse and rank == n == m:
         off = m + (1 if b is not None else 0)
         inverse = QMatrix(n, n, [row[off:off + n] for row in R.data])
     return SolveResult(rank, kernel, particular, inverse)
+
+
+def _kernel_vectors(R: QMatrix, pivots: list, m: int) -> list:
+    """Null-space basis of the first m columns of a reduced row echelon form
+    R whose pivots among them are `pivots`: one vector per free column."""
+    kernel = []
+    pivset = set(pivots)
+    for fc in range(m):
+        if fc in pivset:
+            continue
+        v = [Q0] * m
+        v[fc] = Q1
+        for r, pc in enumerate(pivots):
+            v[pc] = -R.data[r][fc]
+        kernel.append(v)
+    return kernel
+
+
+def _solution_rows(R: QMatrix, pivots: list, m: int, k: int) -> list:
+    """Rows of the solution X of B X = C read off the reduced row echelon
+    form R of [B | C | ...], B with m columns and pivots `pivots`, C with k
+    columns; free variables are 0."""
+    X = [[Q0] * k for _ in range(m)]
+    for r, pc in enumerate(pivots):
+        X[pc] = R.data[r][m:m + k]
+    return X
+
+
+def coordinates(B: QMatrix, M: QMatrix) -> QMatrix | None:
+    """X with B X = M, from one rref of [B | M], free variables set to 0;
+    None when a column of M lies outside the column span of B."""
+    R, pivots = B.hstack(M).rref()
+    if pivots and pivots[-1] >= B.cols:
+        return None
+    return QMatrix(B.cols, M.cols, _solution_rows(R, pivots, B.cols, M.cols))
+
+
+def span_coordinates(basis: list, mats: list) -> QMatrix | None:
+    """Coordinates of each matrix in `mats` in the span of the matrices
+    `basis`, as the columns of a len(basis) x len(mats) matrix; None when
+    one of them lies outside the span."""
+    return coordinates(QMatrix.from_rows([b.flat() for b in basis]).transpose(),
+                       QMatrix.from_rows([m.flat() for m in mats]).transpose())
+
+
+def kernel_columns(M: QMatrix) -> QMatrix:
+    """Null-space basis of M as the columns of a (cols x k) matrix; the
+    shape is (cols, 0) when the kernel is trivial."""
+    R, pivots = M.rref()
+    kernel = _kernel_vectors(R, pivots, M.cols)
+    if not kernel:
+        return QMatrix.zeros(M.cols, 0)
+    return QMatrix.from_rows(kernel).transpose()
+
+
+def lincomb(coeffs, mats: list) -> QMatrix:
+    """The sum of c * B over paired coefficients and (equally shaped)
+    matrices; zero coefficients are skipped."""
+    rows, cols = mats[0].rows, mats[0].cols
+    acc = [[Q0] * cols for _ in range(rows)]
+    for c, B in zip(coeffs, mats):
+        c = rat(c)
+        if c:
+            for arow, brow in zip(acc, B.data):
+                arow[:] = [a + c * x for a, x in zip(arow, brow)]
+    return QMatrix(rows, cols, acc)
 
 
 class RowSpace:
@@ -366,6 +423,23 @@ class RowSpace:
     def basis_matrix(self) -> QMatrix:
         return QMatrix.from_rows(self.rows) if self.rows \
             else QMatrix.zeros(0, self.width)
+
+
+def spin(mats: list, vectors, width: int) -> RowSpace:
+    """Smallest subspace of Q^width containing `vectors` and invariant under
+    every matrix in `mats`, in echelon form."""
+    space = RowSpace(width)
+    queue = []
+    for v in vectors:
+        if space.add(v):
+            queue.append(list(v))
+    while queue:
+        v = queue.pop()
+        for m in mats:
+            w = m.apply(v)
+            if space.add(w):
+                queue.append(w)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +565,10 @@ class QPoly:
         return acc
 
     def eval_matrix(self, M: QMatrix) -> QMatrix:
+        ident = QMatrix.identity(M.rows)
         acc = QMatrix.zeros(M.rows, M.cols)
         for c in reversed(self.coeffs):
-            acc = acc * M
-            if c:
-                acc = acc + QMatrix.identity(M.rows).scale(c)
+            acc = acc * M + ident.scale(c)
         return acc
 
     def compose(self, inner: "QPoly") -> "QPoly":
@@ -550,10 +623,9 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
             vec = M.apply(vec)
             powers.append(vec)
         A = QMatrix.from_rows(powers[:-1]).transpose()
-        res = solve_or_kernel(A, QMatrix.column(powers[-1]))
-        sol = res.particular
-        assert sol != "inconsistent" and sol is not None
-        ann = QPoly([-c for c in sol] + [Q1])
+        sol = coordinates(A, QMatrix.column(powers[-1]))
+        assert sol is not None
+        ann = QPoly([-c for c in sol.col(0)] + [Q1])
         result = _poly_lcm(result, ann)
         for p in powers[:-1]:
             space.add(p)

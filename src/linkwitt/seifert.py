@@ -13,7 +13,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .rational import Q0, Q1, QMatrix, RowSpace, rat, solve_or_kernel
+from .rational import (Q0, Q1, QMatrix, coordinates, kernel_columns,
+                       lincomb, rat, solve_or_kernel, spin)
 
 
 class SeifertError(ValueError):
@@ -251,19 +252,8 @@ def spin_submodule(V: SeifertModule, vectors):
     Returns (W, inclusion) where the inclusion columns are an echelonized
     basis of the invariant subspace.
     """
-    space = RowSpace(V.dim)
-    queue = []
-    for v in vectors:
-        v = [rat(x) for x in v]
-        if space.add(v):
-            queue.append(v)
-    gens = V.generators()
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            w = g.apply(v)
-            if space.add(w):
-                queue.append(w)
+    space = spin(V.generators(), [[rat(x) for x in v] for v in vectors],
+                 V.dim)
     basis = space.basis_matrix().transpose()   # dim x k columns
     return submodule_from_basis(V, basis)
 
@@ -271,20 +261,15 @@ def spin_submodule(V: SeifertModule, vectors):
 def submodule_from_basis(V: SeifertModule, basis: QMatrix):
     """Structure induced on an invariant subspace with the given basis
     columns.  Raises when the subspace is not invariant."""
-    k = basis.cols
-    if k == 0:
+    if basis.cols == 0:
         W = SeifertModule.zero(V.mu)
         return W, SeifertMorphism(W, V, QMatrix.zeros(V.dim, 0), check=False)
 
     def restrict(m: QMatrix) -> QMatrix:
-        image = m * basis
-        cols = []
-        for j in range(k):
-            res = solve_or_kernel(basis, QMatrix.column(image.col(j)))
-            if res.particular == "inconsistent" or res.particular is None:
-                raise SeifertError("subspace is not invariant")
-            cols.append(res.particular)
-        return QMatrix.from_rows(cols).transpose()
+        X = coordinates(basis, m * basis)
+        if X is None:
+            raise SeifertError("subspace is not invariant")
+        return X
 
     s_w = restrict(V.s)
     proj_w = [restrict(e) for e in V.projections]
@@ -331,12 +316,7 @@ def quotient_module(V: SeifertModule, incl: SeifertMorphism):
 
 def perp_basis(f: SeifertForm, incl: SeifertMorphism) -> QMatrix:
     """Basis (columns) of L-perp = {x : pair(l, x) = 0 for all l in L}."""
-    L = incl.matrix
-    system = L.transpose() * f.phi
-    res = solve_or_kernel(system)
-    if not res.kernel:
-        return QMatrix.zeros(f.module.dim, 0)
-    return QMatrix.from_rows(res.kernel).transpose()
+    return kernel_columns(incl.matrix.transpose() * f.phi)
 
 
 def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
@@ -354,14 +334,9 @@ def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
     perp = perp_basis(f, incl)
     perp_mod, perp_incl = submodule_from_basis(f.module, perp)
     # locate L inside L-perp
-    cols = []
-    for j in range(L.cols):
-        res = solve_or_kernel(perp, QMatrix.column(L.col(j)))
-        if res.particular in (None, "inconsistent"):
-            raise SeifertError("submodule does not lie in its perpendicular")
-        cols.append(res.particular)
-    L_in_perp = QMatrix.from_rows(cols).transpose() if cols \
-        else QMatrix.zeros(perp.cols, 0)
+    L_in_perp = coordinates(perp, L)
+    if L_in_perp is None:
+        raise SeifertError("submodule does not lie in its perpendicular")
     sub_incl = SeifertMorphism(
         submodule_from_basis(perp_mod, L_in_perp)[0], perp_mod, L_in_perp,
         check=False)
@@ -425,14 +400,16 @@ def hom_space(V: SeifertModule, W: SeifertModule) -> list:
 _ISO_RNG_SEED = 0x15031991
 
 
-def find_isomorphism(V: SeifertModule, W: SeifertModule,
-                     seed: int | None = None):
-    """An isomorphism V -> W, or None after a certified exhaustive check.
+def find_isomorphism(V: SeifertModule, W: SeifertModule):
+    """An isomorphism V -> W, or None.
 
     Search order: hom-basis elements, then deterministic pseudo-random
     rational combinations, finally an exact vanishing test of the determinant
     of a generic combination on an integer grid (a polynomial of total degree
-    dim vanishing on {0..dim}^k vanishes identically).
+    dim vanishing on {0..dim}^k vanishes identically).  Modules whose hom
+    dimensions rule out an isomorphism are rejected before the grid.  Up to
+    200000 grid points the None is certified; beyond that the grid is
+    sampled, and so is the None.
     """
     if V.dim != W.dim:
         return None
@@ -444,30 +421,26 @@ def find_isomorphism(V: SeifertModule, W: SeifertModule,
     for F in basis:
         if F.det() != 0:
             return SeifertMorphism(V, W, F)
-    rng = random.Random(_ISO_RNG_SEED if seed is None else seed)
+    rng = random.Random(_ISO_RNG_SEED)
     denominators = [1, 2, 3, 5, 7, 10]
     for _ in range(200):
-        combo = QMatrix.zeros(W.dim, V.dim)
-        for F in basis:
-            c = Fraction(rng.randint(-9, 9), rng.choice(denominators))
-            if c:
-                combo = combo + F.scale(c)
+        combo = lincomb([Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                         for _F in basis], basis)
         if combo.det() != 0:
             return SeifertMorphism(V, W, combo)
-    # certified failure: det of a generic combination is a polynomial of
-    # total degree <= dim in the coefficients
-    n = V.dim
+    # isomorphic modules have equal hom dimensions
     k = len(basis)
+    if k != len(hom_space(V, V)) or k != len(hom_space(W, W)):
+        return None
+    # det of a generic combination is a polynomial of total degree <= dim in
+    # the coefficients
+    n = V.dim
     if (n + 1) ** k <= 200000:
         grid = itertools.product(range(n + 1), repeat=k)
     else:
-        # sampling fallback; de-facto unreachable at desk scale
         grid = ([rng.randint(0, n) for _ in range(k)] for _ in range(200000))
     for point in grid:
-        combo = QMatrix.zeros(W.dim, V.dim)
-        for c, F in zip(point, basis):
-            if c:
-                combo = combo + F.scale(c)
+        combo = lincomb(point, basis)
         if combo.det() != 0:
             return SeifertMorphism(V, W, combo)
     return None

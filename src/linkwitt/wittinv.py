@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, factor_int, rat, rat_str,
-                       real_root_data, sign_at_root, solve_or_kernel,
-                       squarefree_part)
+from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, factor_int, rat,
+                       rat_str, real_root_data, sign_at_root, squarefree_part)
 from .seifert import SeifertForm
 from . import endofield
 from .endofield import (EndomorphismError, HermitianFormOverE,
@@ -220,17 +219,15 @@ def _element_minpoly(nf, beta: QPoly) -> QPoly:
     """Minimal polynomial of a field element given as a polynomial in the
     generator."""
     d = nf.degree
-    powers = [QPoly.one()]
     vecs = [[Q1] + [Q0] * (d - 1)]
     current = QPoly.one()
     for _k in range(1, d + 1):
         current = field_mul(nf, current, beta)
         vecs.append([current.coeff(i) for i in range(d)])
         A = QMatrix.from_rows(vecs[:-1]).transpose()
-        res = solve_or_kernel(A, QMatrix.column(vecs[-1]))
-        if res.particular not in (None, "inconsistent"):
-            return QPoly([-c for c in res.particular] + [Q1])
-        powers.append(current)
+        sol = coordinates(A, QMatrix.column(vecs[-1]))
+        if sol is not None:
+            return QPoly([-c for c in sol.col(0)] + [Q1])
     raise AssertionError("no minimal polynomial found")
 
 
@@ -243,10 +240,10 @@ def _in_powers_of(nf, beta: QPoly, f: int, xi: QPoly) -> QPoly:
         vecs.append([current.coeff(i) for i in range(d)])
         current = field_mul(nf, current, beta)
     A = QMatrix.from_rows(vecs).transpose()
-    res = solve_or_kernel(A, QMatrix.column([xi.coeff(i) for i in range(d)]))
-    if res.particular in (None, "inconsistent"):
+    sol = coordinates(A, QMatrix.column([xi.coeff(i) for i in range(d)]))
+    if sol is None:
         raise EndomorphismError("element outside the fixed field")
-    return QPoly(res.particular)
+    return QPoly(sol.col(0))
 
 
 def _fixed_field_primitive(nf) -> tuple:

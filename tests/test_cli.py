@@ -234,3 +234,28 @@ def test_cobordant_worked_example_vs_zero_form(capsys):
                           _path("zero_form.json"), "--format", "json")
     assert code == 0
     assert json.loads(out)["verdict"] == "not-cobordant"
+
+
+_LINE = {"mu": 1, "ring": "Q", "dim": 1, "s": [["1/2"]],
+         "projections": {"type": "blocks", "sizes": [1]},
+         "form": {"zeta": 1, "phi": [["1"]]}}
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("primitive", "s", [["1/0"]]),
+    ("primitive", "s", [[True]]),
+    ("primitive", "mu", True),
+    ("primitive", "dim", True),
+    ("primitive", "projections", {"type": "blocks", "sizes": [True]}),
+    ("invariants", "form", {"zeta": True, "phi": [["1"]]}),
+    ("invariants", "form", {"zeta": 1.0, "phi": [["1"]]}),
+    ("invariants", "form", {"zeta": 1, "phi": [[False]]}),
+])
+def test_schema_errors_at_the_cli_boundary(capsys, tmp_path, command, field,
+                                           value):
+    doc = dict(_LINE, **{field: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert "schema error" in err and out == ""

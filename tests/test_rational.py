@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from linkwitt.rational import (QMatrix, QPoly, count_real_roots,
+from linkwitt.rational import (QMatrix, QPoly, coordinates, count_real_roots,
                                factor_rational_poly, is_irreducible,
-                               minimal_polynomial, rat, rat_str,
-                               real_root_data, sign_at_root, solve_or_kernel,
-                               squarefree_part)
+                               kernel_columns, lincomb, minimal_polynomial,
+                               rat, rat_str, real_root_data, sign_at_root,
+                               solve_or_kernel, spin, squarefree_part)
 
 from support import worked_example_module
 
@@ -227,3 +227,77 @@ def test_matrix_inverse_roundtrip():
             if M.det() != 0:
                 break
         assert M * M.inverse() == QMatrix.identity(n)
+
+
+def _random_of_rank(rng, rows, cols, rank):
+    left = QMatrix(rows, rank, [[rng.randint(-3, 3) for _ in range(rank)]
+                                for _ in range(rows)])
+    right = QMatrix(rank, cols, [[rng.randint(-3, 3) for _ in range(cols)]
+                                 for _ in range(rank)])
+    return left * right
+
+
+def test_coordinates_agree_with_solve_or_kernel():
+    rng = random.Random(41)
+    deficient = 0
+    for _ in range(40):
+        rows, cols, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        B = _random_of_rank(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        if B.rank() < cols:
+            deficient += 1
+        M = B * QMatrix(cols, k, [[Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 4))
+                                    for _ in range(k)] for _ in range(cols)])
+        X = coordinates(B, M)
+        assert X is not None and (X.rows, X.cols) == (cols, k)
+        assert B * X == M
+        for j in range(k):
+            res = solve_or_kernel(B, QMatrix.column(M.col(j)))
+            assert X.col(j) == res.particular
+    assert 0 < deficient < 40
+
+
+def test_coordinates_inconsistent_is_none():
+    B = QMatrix(2, 2, [[1, 1], [1, 1]])
+    assert coordinates(B, QMatrix.column([0, 1])) is None
+    assert coordinates(B, QMatrix(2, 2, [[2, 0], [2, 1]])) is None
+    assert coordinates(B, QMatrix(2, 2, [[2, 0], [2, 0]])) is not None
+
+
+def test_spin_without_matrices_is_the_span():
+    rng = random.Random(42)
+    for _ in range(20):
+        width = rng.randint(1, 5)
+        vecs = _random_of_rank(rng, rng.randint(1, 5), width,
+                               rng.randint(0, width)).data
+        vecs = [[Fraction(x) for x in v] for v in vecs]
+        space = spin([], vecs, width)
+        R, pivots = QMatrix.from_rows(vecs).rref()
+        assert space.dim() == len(pivots)
+        assert space.basis_matrix() == QMatrix(len(pivots), width,
+                                               R.data[:len(pivots)])
+
+
+def test_lincomb_equals_scale_and_add_fold():
+    rng = random.Random(43)
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        mats = [QMatrix(r, c, [[rng.randint(-4, 4) for _ in range(c)]
+                               for _ in range(r)])
+                for _ in range(rng.randint(1, 5))]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in mats]
+        fold = QMatrix.zeros(r, c)
+        for a, m in zip(coeffs, mats):
+            fold = fold + m.scale(a)
+        assert lincomb(coeffs, mats) == fold
+
+
+def test_kernel_columns_shapes():
+    assert kernel_columns(QMatrix.identity(3)) == QMatrix.zeros(3, 0)
+    tall = QMatrix(3, 2, [[1, 0], [0, 1], [1, 1]])
+    assert (kernel_columns(tall).rows, kernel_columns(tall).cols) == (2, 0)
+    M = QMatrix(2, 3, [[1, 2, 3], [2, 4, 6]])
+    K = kernel_columns(M)
+    assert (K.rows, K.cols) == (3, 2)
+    assert (M * K).is_zero() and K.rank() == 2

@@ -195,6 +195,21 @@ def test_nonisomorphic_socle_lines():
     assert find_isomorphism(V0, V1) is None
 
 
+def test_find_isomorphism_rejects_by_hom_dimensions():
+    # dim Hom(V, W) = 8 puts the grid at 5^8 points, past the exhaustive
+    # bound; dim Hom(V, V) = 8 and dim Hom(W, W) = 10 rule out an isomorphism
+    def diagonal(*entries):
+        n = len(entries)
+        s = QMatrix(n, n, [[x if i == j else 0 for j in range(n)]
+                           for i, x in enumerate(entries)])
+        return SeifertModule.from_blocks(1, s, [n])
+
+    V, W = diagonal(0, 0, 1, 1), diagonal(0, 0, 0, 1)
+    assert [len(hom_space(V, W)), len(hom_space(V, V)),
+            len(hom_space(W, W))] == [8, 8, 10]
+    assert find_isomorphism(V, W) is None
+
+
 def test_form_is_morphism_to_dual_random():
     rng = random.Random(24)
     for _ in range(10):
