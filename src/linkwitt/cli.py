@@ -10,7 +10,9 @@ canonical JSON (or text derived from it) and are byte-identical under fixed
 --seed and --degree.
 
 Exit codes: 0 ok, 2 schema error, 3 invariant violation in the input,
-4 unsupported (quaternionic endomorphism ring) with a partial report.
+4 unsupported (quaternionic endomorphism ring) with a partial report,
+5 undecided (the reduction could not certify simplicity or build an
+endomorphism field; no report).
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import sys
 from .rational import QMatrix, rat, rat_str
 from .seifert import SeifertError, SeifertForm, SeifertModule
 from .covering import (blanchfield_pairing, cover_presentation,
-                       sigma_inverse_truncated, symmetry_witness, word_str)
+                       sigma_inverse_truncated, symmetry_witness)
+from .devissage import SimplicityUndecided
+from .endofield import EndomorphismError
 from .primitives import analyze_primitives
 from .wittinv import analyze_form
 
@@ -30,6 +34,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVALID = 3
 EXIT_UNSUPPORTED = 4
+EXIT_UNDECIDED = 5
 
 
 class SchemaError(ValueError):
@@ -174,14 +179,9 @@ def _render_text(doc: dict, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 def run_invariants(args) -> int:
-    try:
-        module, form = load_input(args.input)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    module, form = load_input(args.input)
     if form is None:
-        print("schema error: invariants require a form", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("invariants require a form")
     err = form.validate()
     if err is not None:
         print(f"invalid input: {err}", file=sys.stderr)
@@ -195,15 +195,10 @@ def run_invariants(args) -> int:
 
 
 def run_cobordant(args) -> int:
-    try:
-        module_a, form_a = load_input(args.a)
-        module_b, form_b = load_input(args.b)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    module_a, form_a = load_input(args.a)
+    module_b, form_b = load_input(args.b)
     if form_a is None or form_b is None:
-        print("schema error: both inputs need forms", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("both inputs need forms")
     for name, f in (("first", form_a), ("second", form_b)):
         err = f.validate()
         if err is not None:
@@ -231,19 +226,14 @@ def run_cobordant(args) -> int:
 
 
 def run_cover(args) -> int:
-    try:
-        module, form = load_input(args.input)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    module, form = load_input(args.input)
     err = module.validate()
     if err is not None:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID
     degree = args.degree
     pres = cover_presentation(module)
-    sigma = [[sorted([[word_str(w), rat_str(c)] for w, c in e.terms.items()])
-              for e in row] for row in pres.entries]
+    sigma = [[e.serialize() for e in row] for row in pres.entries]
     inverse = sigma_inverse_truncated(module, degree)
     doc = {
         "input": {"mu": module.mu, "dim": module.dim, "ring": module.ring},
@@ -266,19 +256,14 @@ def run_cover(args) -> int:
             "found" if witness is not None
             else "no witness at this truncation")
         if witness is not None:
-            doc["witness"] = [[sorted([[word_str(w), rat_str(c)]
-                                       for w, c in e.terms.items()])
-                               for e in row] for row in witness]
+            doc["witness"] = [[e.serialize() for e in row]
+                              for row in witness]
     sys.stdout.write(emit(doc, args.format))
     return EXIT_OK
 
 
 def run_primitive(args) -> int:
-    try:
-        module, _form = load_input(args.input)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    module, _form = load_input(args.input)
     err = module.validate()
     if err is not None:
         print(f"invalid input: {err}", file=sys.stderr)
@@ -349,9 +334,15 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     try:
         return args.func(args)
+    except SchemaError as exc:
+        print(f"schema error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except SeifertError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (SimplicityUndecided, EndomorphismError) as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

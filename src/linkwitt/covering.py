@@ -118,11 +118,12 @@ class GroupRingElem:
     def augment(self) -> Fraction:
         return sum(self.terms.values(), Q0)
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def coeff(self, w: tuple) -> Fraction:
         return self.terms.get(word_reduce(w), Q0)
+
+    def serialize(self) -> list:
+        """Sorted [word, coefficient] string pairs."""
+        return sorted([word_str(w), rat_str(c)] for w, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -158,9 +159,6 @@ class FlkPresentation:
             for e in row:
                 out.update(e.terms.keys())
         return out
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.support()), default=0)
 
     def is_linear(self) -> bool:
         return all(len(w) <= 1 and all(e == 1 for _, e in w)
@@ -228,10 +226,6 @@ class TruncatedSeries:
     def constant(c, degree: int) -> "TruncatedSeries":
         return TruncatedSeries(degree, {(): rat(c)})
 
-    @staticmethod
-    def variable(i: int, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(degree, {(i,): Q1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -288,13 +282,8 @@ class TruncatedSeries:
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
-            name = " ".join(f"x{i}" for i in w) if w else "1"
-            bits.append(f"{rat_str(self.terms[w])}*{name}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*{name}" for name, c in self.serialize()) \
+            or "0"
 
 
 def magnus_letter(i: int, exponent: int, degree: int) -> TruncatedSeries:
@@ -325,16 +314,12 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
     """Anti-automorphism induced by g -> g^{-1}: word reversal composed with
     x_i -> (1 + x_i)^{-1} - 1."""
     d = t.degree if degree is None else degree
-    bar_x = {}
+    one = TruncatedSeries.constant(1, d)
+    bar_x = {i: magnus_letter(i, -1, d) - one for w in t.terms for i in w}
     total = TruncatedSeries(d)
     for w, c in t.terms.items():
-        acc = TruncatedSeries.constant(1, d)
+        acc = one
         for i in reversed(w):
-            if i not in bar_x:
-                terms = {}
-                for k in range(1, d + 1):
-                    terms[(i,) * k] = -Q1 if k % 2 else Q1
-                bar_x[i] = TruncatedSeries(d, terms)
             acc = acc * bar_x[i]
         total = total + acc * c
     return total
@@ -343,6 +328,38 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
 # ---------------------------------------------------------------------------
 # exact rational series: linear representations
 # ---------------------------------------------------------------------------
+
+def _word_products(start: QMatrix, transitions: list, degree: int) -> dict:
+    """{word: start T_{i1} ... T_{ik}} for every word in the letters
+    1..len(transitions) of length <= degree (none when degree < 0), built
+    breadth-first with one matrix product per word."""
+    products = {(): start} if degree >= 0 else {}
+    frontier = list(products)
+    for _ in range(degree):
+        frontier = [w + (i,) for w in frontier
+                    for i in range(1, len(transitions) + 1)]
+        for w in frontier:
+            products[w] = products[w[:-1]] * transitions[w[-1] - 1]
+    return products
+
+
+def _series_matrix(states: dict, n: int, degree: int) -> list:
+    """n x n matrix of truncated series whose entry (p, q) has, at each
+    word w, the coefficient states[w].data[p][q]."""
+    out = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
+    for w, m in states.items():
+        for p, row in enumerate(m.data):
+            for q, c in enumerate(row):
+                if c:
+                    out[p][q].terms[w] = c
+    return out
+
+
+def _sigma_transitions(V: SeifertModule) -> list:
+    """The matrices -s e_i: the coefficient of x_{i1}..x_{ik} in sigma^{-1}
+    is their product in word order."""
+    return [(V.s * e).scale(-1) for e in V.projections]
+
 
 @dataclass
 class NCRationalSeries:
@@ -361,18 +378,9 @@ class NCRationalSeries:
         return (v * self.col).data[0][0]
 
     def truncate(self, degree: int) -> TruncatedSeries:
-        mu = len(self.transitions)
-        terms = {}
-        stack = [((), self.row)]
-        while stack:
-            w, v = stack.pop()
-            c = (v * self.col).data[0][0]
-            if c:
-                terms[w] = c
-            if len(w) < degree:
-                for i in range(1, mu + 1):
-                    stack.append((w + (i,), v * self.transitions[i - 1]))
-        return TruncatedSeries(degree, terms)
+        states = _word_products(self.row, self.transitions, degree)
+        return TruncatedSeries(degree, {w: (v * self.col).data[0][0]
+                                        for w, v in states.items()})
 
 
 @dataclass
@@ -390,7 +398,7 @@ def sigma_inverse_series(V: SeifertModule):
     if err is not None:
         raise SeifertError(err)
     n = V.dim
-    transitions = [(V.s * e).scale(-1) for e in V.projections]
+    transitions = _sigma_transitions(V)
     out = []
     for p in range(n):
         row_mat = QMatrix(1, n, [[Q1 if j == p else Q0 for j in range(n)]])
@@ -405,24 +413,9 @@ def sigma_inverse_series(V: SeifertModule):
 def sigma_inverse_truncated(V: SeifertModule, degree: int):
     """n x n matrix of truncated series for sigma^{-1}, computed from the
     exact linear representation in one breadth-first sweep."""
-    n = V.dim
-    transitions = [(V.s * e).scale(-1) for e in V.projections]
-    mats = {(): QMatrix.identity(n)}
-    frontier = [()]
-    for _ in range(degree):
-        nxt = []
-        for w in frontier:
-            for i in range(1, V.mu + 1):
-                mats[w + (i,)] = mats[w] * transitions[i - 1]
-                nxt.append(w + (i,))
-        frontier = nxt
-    out = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    for w, m in mats.items():
-        for p in range(n):
-            for q in range(n):
-                if m.data[p][q]:
-                    out[p][q].terms[w] = m.data[p][q]
-    return out
+    states = _word_products(QMatrix.identity(V.dim), _sigma_transitions(V),
+                            degree)
+    return _series_matrix(states, V.dim, degree)
 
 
 def magnus_matrix(pres: FlkPresentation, degree: int):
@@ -431,7 +424,7 @@ def magnus_matrix(pres: FlkPresentation, degree: int):
 
 def series_matrix_mul(A, B, degree: int):
     n = len(A)
-    m = len(B[0])
+    m = len(B[0]) if B else 0
     k = len(B)
     out = [[TruncatedSeries(degree) for _ in range(m)] for _ in range(n)]
     for i in range(n):
@@ -447,43 +440,23 @@ def truncated_inverse(pres: FlkPresentation, degree: int):
     """Neumann-series inverse of the Magnus image, an independent check of
     the closed-form representation."""
     n = pres.size
-    aug = pres.augmentation()
-    aug_inv = aug.inverse()
-    hat = magnus_matrix(pres, degree)
+    aug_inv = [[TruncatedSeries.constant(c, degree) for c in row]
+               for row in pres.augmentation().inverse().data]
+    ident = [[TruncatedSeries.constant(int(i == j), degree)
+              for j in range(n)] for i in range(n)]
     # normalize: c^{-1} sigma = 1 + tau with tau of positive valuation
-    norm = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = TruncatedSeries(degree)
-            for t in range(n):
-                if aug_inv.data[i][t]:
-                    acc = acc + hat[t][j] * aug_inv.data[i][t]
-            norm[i][j] = acc
-    tau = [[norm[i][j] - (TruncatedSeries.constant(1, degree)
-                          if i == j else TruncatedSeries(degree))
-            for j in range(n)] for i in range(n)]
-    acc = [[TruncatedSeries.constant(1, degree) if i == j
-            else TruncatedSeries(degree) for j in range(n)] for i in range(n)]
-    power = [[TruncatedSeries.constant(1, degree) if i == j
-              else TruncatedSeries(degree) for j in range(n)]
-             for i in range(n)]
-    for _ in range(degree):
+    norm = series_matrix_mul(aug_inv, magnus_matrix(pres, degree), degree)
+    tau = [[norm[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    acc = power = ident
+    for k in range(degree):
         power = series_matrix_mul(power, tau, degree)
-        sign = -1 if _ % 2 == 0 else 1
+        sign = -1 if k % 2 == 0 else 1
         acc = [[acc[i][j] + power[i][j] * sign for j in range(n)]
                for i in range(n)]
         if all(p.is_zero() for row in power for p in row):
             break
-    # multiply on the right by aug_inv: (1+tau)^{-1} c^{-1}
-    out = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc2 = TruncatedSeries(degree)
-            for t in range(n):
-                if aug_inv.data[t][j]:
-                    acc2 = acc2 + acc[i][t] * aug_inv.data[t][j]
-            out[i][j] = acc2
-    return out
+    # (1 + tau)^{-1} c^{-1}
+    return series_matrix_mul(acc, aug_inv, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -504,36 +477,21 @@ def blanchfield_pairing(f: SeifertForm, degree: int):
         raise SeifertError(f"invalid form: {err}")
     V = f.module
     n = V.dim
-    mu = V.mu
     phiT = f.phi.transpose()
-    # truncated sweep with row states
-    states = {(): phiT}
-    frontier = [()]
-    first = [e.scale(-1) for e in V.projections]
-    later = [(V.s * e).scale(-1) for e in V.projections]
-    for step in range(degree):
-        nxt = []
-        for w in frontier:
-            for i in range(1, mu + 1):
-                step_mat = first[i - 1] if not w else later[i - 1]
-                states[w + (i,)] = states[w] * step_mat
-                nxt.append(w + (i,))
-        frontier = nxt
-    trunc = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    for w, m in states.items():
-        if not w:
-            continue    # the pairing has no constant term
-        for p in range(n):
-            for q in range(n):
-                if m.data[p][q]:
-                    trunc[p][q].terms[w] = m.data[p][q]
+    # read off sigma^{-1}: the coefficient of x_i w is phi^T (-e_i) times
+    # that of w in sigma^{-1}; the pairing has no constant term
+    steps = _sigma_transitions(V)
+    states = {}
+    for i, e in enumerate(V.projections, start=1):
+        tail = _word_products(phiT * e.scale(-1), steps, degree - 1)
+        states.update({(i,) + w: m for w, m in tail.items()})
+    trunc = _series_matrix(states, n, degree)
     # exact linear representation of dimension 2n; the transition grouping
     # is (e_{i1} s)(e_{i2} s)...(e_{i_{k-1}} s) e_{ik}, so the top-left
     # block carries e s and the top-right block the bare projection
     zero_n = QMatrix.zeros(n, n)
     transitions = []
-    for i in range(mu):
-        e = V.projections[i]
+    for e in V.projections:
         top = (e * V.s).scale(-1).hstack(e.scale(-1))
         bottom = zero_n.hstack(zero_n)
         transitions.append(top.vstack(bottom))
@@ -670,17 +628,12 @@ def _pairing_mu(pairing) -> int:
 # linearization and the inverse construction
 # ---------------------------------------------------------------------------
 
-def _gre_matrix(entries):
-    return [[e for e in row] for row in entries]
-
-
 def linearize_presentation(pres: FlkPresentation):
     """Equivalent presentation with support in {1, z_1..z_mu} and
     augmentation exactly 1, by cokernel-preserving moves only.
 
     Returns (presentation, move log).  Size may grow.
     """
-    entries = _gre_matrix(pres.entries)
     mu = pres.mu
     log = []
 
@@ -722,7 +675,7 @@ def linearize_presentation(pres: FlkPresentation):
                        f"(size {n} -> {2 * n})")
         return es
 
-    entries = strip_last_letters(entries)
+    entries = strip_last_letters(pres.entries)
     # kill inverse generators one at a time
     for i in range(1, mu + 1):
         has_inverse = any((i, -1) in w for row in entries for e in row
@@ -793,11 +746,7 @@ def change_coefficients(x, target: str):
     """Coefficient promotion Z -> Q (entrywise identity)."""
     if target != "Q":
         raise SeifertError("only promotion to Q is supported")
-    if isinstance(x, SeifertModule):
-        return x.promote()
-    if isinstance(x, FlkPresentation):
-        return x.promote()
-    if isinstance(x, SeifertForm):
+    if isinstance(x, (SeifertModule, FlkPresentation, SeifertForm)):
         return x.promote()
     raise TypeError(f"cannot change coefficients of {type(x).__name__}")
 

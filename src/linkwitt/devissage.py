@@ -412,9 +412,6 @@ class AnisotropicDecomposition:
     log: list
     seed: int = 0
 
-    def total_rank(self) -> int:
-        return sum(len(g.forms) for g in self.groups)
-
 
 def _isotropic_candidate(f: SeifertForm):
     """Search for a proper nonzero submodule on which the form vanishes,

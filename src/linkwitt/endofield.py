@@ -203,10 +203,6 @@ def field_conj(nf, a: QPoly) -> QPoly:
     return a.compose(nf.involution_image) % nf.minpoly
 
 
-def element_to_matrix(nf, a: QPoly) -> QMatrix:
-    return a.eval_matrix(nf.embedding)
-
-
 def matrix_to_element(nf, m: QMatrix) -> QPoly:
     """Express an endomorphism as a polynomial in the primitive element."""
     d = nf.degree

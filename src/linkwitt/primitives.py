@@ -62,33 +62,28 @@ def max_primitive_submodule(V: SeifertModule):
     err = V.validate()
     if err is not None:
         raise SeifertError(err)
-    basis = QMatrix.zeros(V.dim, 0)
+    _, incl = submodule_from_basis(V, QMatrix.zeros(V.dim, 0))
     filtration = []
-    while basis.cols < V.dim:
-        sub, incl = submodule_from_basis(V, basis)
+    while incl.matrix.cols < V.dim:
         quot, proj, section = quotient_module(V, incl)
         (w0, w0_incl), (w1, w1_incl) = trivial_socle(quot)
         if w0.dim == 0 and w1.dim == 0:
             break
         layer = []
-        lifted = basis
+        lifted = incl.matrix
         if w0.dim:
-            lifted = lifted.hstack(section * w0_incl.matrix) \
-                if lifted.cols else section * w0_incl.matrix
+            lifted = lifted.hstack(section * w0_incl.matrix)
             layer.append(f"s=0 layer of dim {w0.dim}")
         if w1.dim:
-            lifted = lifted.hstack(section * w1_incl.matrix) \
-                if lifted.cols else section * w1_incl.matrix
+            lifted = lifted.hstack(section * w1_incl.matrix)
             layer.append(f"s=1 layer of dim {w1.dim}")
         # the lifted span is invariant: it is the preimage of an invariant
         # subspace of the quotient
         column_space = spin([], [lifted.col(j) for j in range(lifted.cols)],
                             lifted.rows)
-        sub2, incl2 = submodule_from_basis(
+        _, incl = submodule_from_basis(
             V, column_space.basis_matrix().transpose())
-        basis = incl2.matrix
         filtration.append(" + ".join(layer))
-    sub, incl = submodule_from_basis(V, basis)
     return incl, filtration
 
 

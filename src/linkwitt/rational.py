@@ -101,9 +101,6 @@ class QMatrix:
         """Entries in row-major order."""
         return [x for row in self.data for x in row]
 
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [list(r) for r in self.data])
-
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
                        [[self.data[i][j] for i in range(self.rows)]
@@ -163,18 +160,6 @@ class QMatrix:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "QMatrix":
-        if not self.is_square() or n < 0:
-            raise ValueError("bad power")
-        result = QMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def apply(self, vec: list) -> list:
         """Matrix times a plain list vector."""
         if len(vec) != self.cols:
@@ -193,10 +178,6 @@ class QMatrix:
             raise ValueError("dimension mismatch")
         return QMatrix(self.rows + other.rows, self.cols,
                        [list(r) for r in self.data + other.data])
-
-    def submatrix(self, row_idx, col_idx) -> "QMatrix":
-        return QMatrix(len(row_idx), len(col_idx),
-                       [[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot column list)."""
@@ -585,20 +566,26 @@ class QPoly:
             return self.monic()
         return (self // g).monic()
 
-    def __repr__(self):
-        if self.is_zero():
-            return "QPoly(0)"
+    def format(self, var: str = "x", times: str = "*",
+               show_unit: bool = True) -> str:
+        """Nonzero terms lowest degree first, "c", "c{times}{var}" and
+        "c{times}{var}^i", joined by " + "; "0" for the zero polynomial.
+        Without show_unit a coefficient 1 is left out of the nonconstant
+        terms."""
         terms = []
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             if i == 0:
                 terms.append(rat_str(c))
-            elif i == 1:
-                terms.append(f"{rat_str(c)}*x")
-            else:
-                terms.append(f"{rat_str(c)}*x^{i}")
-        return "QPoly(" + " + ".join(terms) + ")"
+                continue
+            mono = var if i == 1 else f"{var}^{i}"
+            terms.append(mono if c == 1 and not show_unit
+                         else f"{rat_str(c)}{times}{mono}")
+        return " + ".join(terms) or "0"
+
+    def __repr__(self):
+        return f"QPoly({self.format()})"
 
 
 def minimal_polynomial(M: QMatrix) -> QPoly:

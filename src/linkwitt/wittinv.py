@@ -347,8 +347,8 @@ def discriminant_class(h: HermitianFormOverE, diag=None) -> dict:
             return {"representative": rat_str(Fraction(sqf)),
                     "group": "square-class", "decidable": True,
                     "trivial": sqf == 1}
-        return {"representative": _poly_str(rep), "group": "square-class",
-                "decidable": False, "trivial": None}
+        return {"representative": rep.format("a", " "),
+                "group": "square-class", "decidable": False, "trivial": None}
     if nf.fixed_field_degree == 1:
         delta = endofield.relative_discriminant(nf)
         m_sqf = squarefree_part(delta.coeff(0))
@@ -361,24 +361,8 @@ def discriminant_class(h: HermitianFormOverE, diag=None) -> dict:
         return {"representative": rat_str(val), "group": "norm-class",
                 "decidable": True,
                 "trivial": norm_class_test_quadratic(val, m_sqf)}
-    return {"representative": _poly_str(rep), "group": "norm-class",
+    return {"representative": rep.format("a", " "), "group": "norm-class",
             "decidable": False, "trivial": None}
-
-
-def _poly_str(p: QPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(rat_str(c))
-        elif i == 1:
-            parts.append(f"{rat_str(c)} a")
-        else:
-            parts.append(f"{rat_str(c)} a^{i}")
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +394,6 @@ class PieceReport:
         if self.hasse:
             return True
         return False
-
-    def complete_and_trivial(self) -> bool:
-        return self.status == "complete" and not self.defined_nontrivial()
 
 
 @dataclass
@@ -475,22 +456,9 @@ def _piece_report(group) -> PieceReport:
     elif not disc["decidable"]:
         status = "partial: class equality undecided"
     label = endofield.classify_involution(nf)
-    return PieceReport(M.dim, rank, label, _minpoly_str(nf.minpoly),
-                       b_matrix, rank % 2, sigs, disc, hasse, status)
-
-
-def _minpoly_str(p: QPoly) -> str:
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(rat_str(c))
-        elif i == 1:
-            terms.append(f"{rat_str(c)} x" if c != 1 else "x")
-        else:
-            terms.append(f"{rat_str(c)} x^{i}" if c != 1 else f"x^{i}")
-    return " + ".join(terms)
+    return PieceReport(M.dim, rank, label,
+                       nf.minpoly.format("x", " ", show_unit=False), b_matrix,
+                       rank % 2, sigs, disc, hasse, status)
 
 
 def analyze_form(f: SeifertForm, seed: int = 0) -> InvariantReport:

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from linkwitt.cli import main, load_input, SchemaError
+from linkwitt.devissage import SimplicityUndecided
+from linkwitt.endofield import EndomorphismError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -259,3 +261,21 @@ def test_schema_errors_at_the_cli_boundary(capsys, tmp_path, command, field,
     code, out, err = _run(capsys, command, str(path))
     assert code == 2
     assert "schema error" in err and out == ""
+
+
+@pytest.mark.parametrize("error", [SimplicityUndecided("no certificate"),
+                                   EndomorphismError("no field")])
+@pytest.mark.parametrize("command,files", [
+    ("invariants", ["worked_example.json"]),
+    ("cobordant", ["worked_example.json", "zero_form.json"]),
+])
+def test_undecided_reduction_exit_code(capsys, monkeypatch, error, command,
+                                       files):
+    def undecided(form, seed=0):
+        raise error
+
+    monkeypatch.setattr("linkwitt.cli.analyze_form", undecided)
+    code, out, err = _run(capsys, command, *[_path(f) for f in files])
+    assert code == 5
+    assert out == ""
+    assert err == f"undecided: {error}\n"

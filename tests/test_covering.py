@@ -17,7 +17,7 @@ from linkwitt.covering import (FlkPresentation, GroupRingElem,
                                truncated_inverse, word_mul, word_reduce)
 from linkwitt.wittinv import analyze_form
 
-from support import (random_linear_presentation, random_module,
+from support import (random_form, random_linear_presentation, random_module,
                      worked_example_form, worked_example_module)
 
 
@@ -388,3 +388,45 @@ def test_pairing_exact_matches_truncated():
         for j in (1, 5):
             val = pairing[i][j]
             assert val.exact.truncate(5) == val.truncated
+
+
+def test_pairing_is_phi_times_one_minus_z_times_sigma_inverse():
+    # reference built with truncated-series arithmetic only:
+    # phi^T (1 - z) sigma^{-1}, where 1 - z has Magnus image -sum_i x_i e_i
+    rng = random.Random(67)
+    for _ in range(10):
+        mu = rng.randint(1, 3)
+        f = random_form(rng, mu, rng.randint(1, 3), rng.choice([1, -1]))
+        V = f.module
+        n = V.dim
+        for D in (0, 1, 5):
+            one_minus_z = [[TruncatedSeries(D, {(i,): -e.data[r][c]
+                                                for i, e in enumerate(
+                                                    V.projections, start=1)})
+                            for c in range(n)] for r in range(n)]
+            phiT = [[TruncatedSeries.constant(x, D) for x in row]
+                    for row in f.phi.transpose().data]
+            reference = series_matrix_mul(
+                series_matrix_mul(phiT, one_minus_z, D),
+                sigma_inverse_truncated(V, D), D)
+            pairing = blanchfield_pairing(f, D)
+            assert [[v.truncated for v in row] for row in pairing] \
+                == reference
+
+
+def test_sigma_inverse_series_truncates_to_the_sweep():
+    rng = random.Random(68)
+    for _ in range(6):
+        V = random_module(rng, rng.randint(1, 3), rng.randint(1, 4))
+        exact = sigma_inverse_series(V)
+        for D in range(5):
+            trunc = sigma_inverse_truncated(V, D)
+            assert [[x.truncate(D) for x in row] for row in exact] == trunc
+
+
+def test_group_ring_serialize():
+    g = GroupRingElem({((1, 1),): 2, (): Fraction(-1, 3),
+                       ((2, -1), (1, 1)): 1, ((1, -1),): Fraction(5, 2)})
+    assert g.serialize() == [["1", "-1/3"], ["z1", "2"], ["z1^-1", "5/2"],
+                             ["z2^-1 z1", "1"]]
+    assert GroupRingElem().serialize() == []

@@ -301,3 +301,15 @@ def test_kernel_columns_shapes():
     K = kernel_columns(M)
     assert (K.rows, K.cols) == (3, 2)
     assert (M * K).is_zero() and K.rank() == 2
+
+
+def test_one_printer_for_repr_and_both_report_formats():
+    # a zero, a unit, a negative and a fractional coefficient
+    p = QPoly([Fraction(-3, 2), 1, 0, -2, Fraction(2, 5), 1])
+    assert repr(p) == "QPoly(-3/2 + 1*x + -2*x^3 + 2/5*x^4 + 1*x^5)"
+    # discriminant representatives: coefficient always shown
+    assert p.format("a", " ") == "-3/2 + 1 a + -2 a^3 + 2/5 a^4 + 1 a^5"
+    # endomorphism minimal polynomials: unit coefficient left out
+    assert (p.format("x", " ", show_unit=False)
+            == "-3/2 + x + -2 x^3 + 2/5 x^4 + x^5")
+    assert repr(QPoly.zero()) == "QPoly(0)"
