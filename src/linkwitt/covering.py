@@ -5,13 +5,15 @@ module over the free-group ring; its augmentation is exactly the identity.
 Under the Magnus embedding z_i -> 1 + x_i the inverse of sigma is an exact
 rational power series whose word coefficients are signed products of the
 matrices s e_i, and the linking pairing on the presented module is computed
-from that series.  Equalities in the localization modulo the group ring are
-attacked at truncation level by solving for bounded-support group-ring
-witnesses.
+from that series.  Its (-zeta)-hermitian symmetry is checked at truncation
+level: the residual P_ij + zeta bar(P_ji) is computed first, and a zero
+residual is itself the certificate (the witness is zero).  Only a nonzero
+residual is solved for a bounded-support group-ring witness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -312,17 +314,36 @@ def magnus_expand(g: GroupRingElem, degree: int) -> TruncatedSeries:
 def series_involution(t: TruncatedSeries, degree: int | None = None
                       ) -> TruncatedSeries:
     """Anti-automorphism induced by g -> g^{-1}: word reversal composed with
-    x_i -> (1 + x_i)^{-1} - 1."""
+    x_i -> (1 + x_i)^{-1} - 1 = sum_{L >= 1} (-1)^L x_i^L.
+
+    In closed form: in the reversed word, a maximal run of k copies of x_i
+    becomes x_i^L for each L >= k, with coefficient (-1)^L C(L-1, k-1) (the
+    compositions of L into k parts), within the degree."""
     d = t.degree if degree is None else degree
-    one = TruncatedSeries.constant(1, d)
-    bar_x = {i: magnus_letter(i, -1, d) - one for w in t.terms for i in w}
-    total = TruncatedSeries(d)
+    # integer numerators over one common denominator until the end
+    den = math.lcm(*(c.denominator for c in t.terms.values()))
+    out = {}
     for w, c in t.terms.items():
-        acc = one
+        slack = d - len(w)
+        if slack < 0:
+            continue
+        runs = []
         for i in reversed(w):
-            acc = acc * bar_x[i]
-        total = total + acc * c
-    return total
+            if runs and runs[-1][0] == i:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, 1])
+        # (word so far, numerator, degree left to spread over the runs)
+        partial = [((), c.numerator * (den // c.denominator), slack)]
+        for i, k in runs:
+            pieces = [(i,) * (k + e) for e in range(slack + 1)]
+            weights = [(-1) ** (k + e) * math.comb(k + e - 1, k - 1)
+                       for e in range(slack + 1)]
+            partial = [(v + pieces[e], a * weights[e], room - e)
+                       for v, a, room in partial for e in range(room + 1)]
+        for v, a, _ in partial:
+            out[v] = out.get(v, 0) + a
+    return TruncatedSeries(d, {v: Fraction(a, den) for v, a in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -584,25 +605,30 @@ def symmetry_witness(pairing, zeta: int, degree: int):
     """Group-ring witness g with magnus(g_ij) = P_ij - (-zeta) bar(P_ji) to
     the given degree, support of word length <= degree // 2.
 
+    The residuals P_ij + zeta bar(P_ji) come first.  When every residual
+    vanishes, that is the certificate and the witness is zero; only when
+    some residual is nonzero are the residuals solved for over the Magnus
+    expansions of the reduced words of length <= degree // 2.
+
     Returns the witness matrix, or None when some entry admits no witness at
     this truncation (the caller may retry at a larger degree).
     """
     n = len(pairing)
-    support = degree // 2
-    mu = _pairing_mu(pairing)
-    words = reduced_words(mu, support)
+    sign = Fraction(-zeta)
+    residuals = [[_trunc_of(pairing[i][j])
+                  - series_involution(_trunc_of(pairing[j][i])) * sign
+                  for j in range(n)] for i in range(n)]
+    if all(r.is_zero() for row in residuals for r in row):
+        return [[GroupRingElem() for _ in range(n)] for _ in range(n)]
+    words = reduced_words(_pairing_mu(pairing), degree // 2)
     solver = SparseSolver()
     for idx, w in enumerate(words):
         expansion = magnus_expand(GroupRingElem({w: Q1}), degree)
         solver.add_column(dict(expansion.terms), idx)
-    sign = Fraction(-zeta)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            p_ij = _trunc_of(pairing[i][j])
-            p_ji = _trunc_of(pairing[j][i])
-            residual = p_ij - series_involution(p_ji) * sign
-            sol = solver.solve(dict(residual.terms))
+            sol = solver.solve(dict(residuals[i][j].terms))
             if sol is None:
                 return None
             out[i][j] = GroupRingElem({words[k]: c for k, c in sol.items()})

@@ -148,12 +148,14 @@ class QMatrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().data
-        out = []
-        for r in self.data:
-            out.append([sum((a * b for a, b in zip(r, c) if a and b), Q0)
-                        for c in ot])
-        return QMatrix(self.rows, other.cols, out)
+        # entries are Fractions already: transpose and product skip rat();
+        # an empty zip would lose the columns of a 0-row factor
+        ot = list(zip(*other.data)) if other.rows else [()] * other.cols
+        out = QMatrix.__new__(QMatrix)
+        out.rows, out.cols = self.rows, other.cols
+        out.data = [[sum((a * b for a, b in zip(r, c) if a and b), Q0)
+                     for c in ot] for r in self.data]
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -1117,6 +1119,11 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: strong Fermat tests to the bases 2..37 and a strong
+    Lucas test with Selfridge parameters.  The bases alone are proven only
+    below 3.3e24 and pass strong pseudoprimes such as
+    318665857834031151167461.  No composite is known to pass both tests,
+    and none below 2^64 does."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -1137,7 +1144,62 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 37 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False    # no D with (D/n) = -1 exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # n + 1 = d 2^s with d odd; U_k, V_k, Q^k by the binary ladder
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:

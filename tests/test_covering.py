@@ -9,7 +9,8 @@ from linkwitt.covering import (FlkPresentation, GroupRingElem,
                                TruncatedSeries, blanchfield_pairing,
                                change_coefficients, cover_presentation,
                                linearize_presentation, magnus_expand,
-                               magnus_matrix, presentation_defect,
+                               magnus_letter, magnus_matrix,
+                               presentation_defect,
                                reduced_words, seifert_from_flk,
                                series_involution, series_matrix_mul,
                                sigma_inverse_series, sigma_inverse_truncated,
@@ -430,3 +431,61 @@ def test_group_ring_serialize():
     assert g.serialize() == [["1", "-1/3"], ["z1", "2"], ["z1^-1", "5/2"],
                              ["z2^-1 z1", "1"]]
     assert GroupRingElem().serialize() == []
+
+
+def _series_involution_by_products(t, degree=None):
+    # the product form of bar: in the reversed word every x_i becomes the
+    # dense truncated series (1 + x_i)^{-1} - 1
+    d = t.degree if degree is None else degree
+    one = TruncatedSeries.constant(1, d)
+    total = TruncatedSeries(d)
+    for w, c in t.terms.items():
+        acc = one
+        for i in reversed(w):
+            acc = acc * (magnus_letter(i, -1, d) - one)
+        total = total + acc * c
+    return total
+
+
+def test_series_involution_matches_product_form():
+    rng = random.Random(69)
+    for _ in range(300):
+        mu, D = rng.randint(1, 3), rng.randint(0, 7)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            w = tuple(rng.randint(1, mu) for _ in range(rng.randint(0, D)))
+            terms[w] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        t = TruncatedSeries(D, terms)
+        for degree in (None, D - rng.randint(1, 2), D + rng.randint(1, 3)):
+            assert series_involution(t, degree) \
+                == _series_involution_by_products(t, degree)
+
+
+def test_symmetry_witness_solves_a_nonzero_residual():
+    # adding magnus(g) to P_01 makes the residuals magnus(g) at (0, 1) and
+    # zeta bar(magnus(g)) at (1, 0): only the solver can witness them
+    f = worked_example_form()
+    D = 8
+    pairing = [[v.truncated for v in row]
+               for row in blanchfield_pairing(f, D)]
+    g = GroupRingElem({((1, 1),): 2, ((2, -1), (1, 1)): -1})
+    pairing[0][1] = pairing[0][1] + magnus_expand(g, D)
+    witness = symmetry_witness(pairing, f.zeta, D)
+    assert witness is not None
+    for i in range(6):
+        for j in range(6):
+            residual = pairing[i][j] \
+                + series_involution(pairing[j][i]) * f.zeta
+            assert magnus_expand(witness[i][j], D) == residual
+    assert witness[0][1] == g
+    assert witness[1][0] == g.involution() * f.zeta
+
+
+def test_symmetry_witness_is_zero_on_random_forms():
+    rng = random.Random(70)
+    for zeta in (1, -1):
+        for _ in range(10):
+            f = random_form(rng, rng.randint(1, 3), rng.randint(1, 3), zeta)
+            witness = symmetry_witness(blanchfield_pairing(f, 8), zeta, 8)
+            assert witness is not None
+            assert all(w.is_zero() for row in witness for w in row)

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from linkwitt.rational import (QMatrix, QPoly, coordinates, count_real_roots,
+from linkwitt.rational import (QMatrix, QPoly, _is_probable_prime,
+                               coordinates, count_real_roots, factor_int,
                                factor_rational_poly, is_irreducible,
                                kernel_columns, lincomb, minimal_polynomial,
                                rat, rat_str, real_root_data, sign_at_root,
@@ -313,3 +315,43 @@ def test_one_printer_for_repr_and_both_report_formats():
     assert (p.format("x", " ", show_unit=False)
             == "-3/2 + x + -2 x^3 + 2/5 x^4 + x^5")
     assert repr(QPoly.zero()) == "QPoly(0)"
+
+
+def test_product_keeps_empty_shapes_and_fraction_entries():
+    assert QMatrix.zeros(3, 0) * QMatrix.zeros(0, 4) == QMatrix.zeros(3, 4)
+    P = QMatrix.zeros(0, 2) * QMatrix(2, 3, [[1, 2, 3], [4, 5, 6]])
+    assert (P.rows, P.cols, P.data) == (0, 3, [])
+    rng = random.Random(42)
+    for _ in range(20):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = QMatrix(r, k, [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                            for _ in range(k)] for _ in range(r)])
+        B = QMatrix(k, c, [[rng.randint(-2, 2) for _ in range(c)]
+                           for _ in range(k)])
+        AB = A * B
+        assert all(type(x) is Fraction for x in AB.flat())
+        assert AB.data == [[sum((A.data[i][t] * B.data[t][j]
+                                 for t in range(k)), Fraction(0))
+                            for j in range(c)] for i in range(r)]
+
+
+def test_factor_int_splits_strong_pseudoprimes_to_bases_2_to_37():
+    assert factor_int(318665857834031151167461) \
+        == {399165290221: 1, 798330580441: 1}
+    assert factor_int(3317044064679887385961981) \
+        == {1287836182261: 1, 2575672364521: 1}
+
+
+def test_primality_of_mersenne_and_carmichael_numbers():
+    assert _is_probable_prime(2 ** 89 - 1)
+    assert _is_probable_prime(2 ** 127 - 1)
+    assert not _is_probable_prime(561)
+    assert not _is_probable_prime(41041)
+
+
+def test_primality_agrees_with_trial_division():
+    # below 20000 this includes the strong Lucas pseudoprimes 5459, 5777,
+    # 10877, 16109 and 18971
+    for n in range(20000):
+        by_division = n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+        assert _is_probable_prime(n) == by_division
