@@ -6,9 +6,9 @@ Under the Magnus embedding z_i -> 1 + x_i the inverse of sigma is an exact
 rational power series whose word coefficients are signed products of the
 matrices s e_i, and the linking pairing on the presented module is computed
 from that series.  Its (-zeta)-hermitian symmetry is checked at truncation
-level: the residual P_ij + zeta bar(P_ji) is computed first, and a zero
-residual is itself the certificate (the witness is zero).  Only a nonzero
-residual is solved for a bounded-support group-ring witness.
+level: the residuals P_ij + zeta bar(P_ji) for i <= j are computed first,
+and zero residuals are themselves the certificate (the witness is zero).
+Only a nonzero residual is solved for a bounded-support group-ring witness.
 """
 
 from __future__ import annotations
@@ -605,20 +605,20 @@ def symmetry_witness(pairing, zeta: int, degree: int):
     """Group-ring witness g with magnus(g_ij) = P_ij - (-zeta) bar(P_ji) to
     the given degree, support of word length <= degree // 2.
 
-    The residuals P_ij + zeta bar(P_ji) come first.  When every residual
-    vanishes, that is the certificate and the witness is zero; only when
-    some residual is nonzero are the residuals solved for over the Magnus
-    expansions of the reduced words of length <= degree // 2.
+    The residuals P_ij + zeta bar(P_ji) for i <= j come first; the others
+    are residual_ji = zeta bar(residual_ij).  When every residual vanishes,
+    that is the certificate and the witness is zero; only when some residual
+    is nonzero are the residuals solved for over the Magnus expansions of
+    the reduced words of length <= degree // 2.
 
     Returns the witness matrix, or None when some entry admits no witness at
     this truncation (the caller may retry at a larger degree).
     """
     n = len(pairing)
-    sign = Fraction(-zeta)
-    residuals = [[_trunc_of(pairing[i][j])
-                  - series_involution(_trunc_of(pairing[j][i])) * sign
-                  for j in range(n)] for i in range(n)]
-    if all(r.is_zero() for row in residuals for r in row):
+    upper = {(i, j): _trunc_of(pairing[i][j])
+             + series_involution(_trunc_of(pairing[j][i])) * zeta
+             for i in range(n) for j in range(i, n)}
+    if all(r.is_zero() for r in upper.values()):
         return [[GroupRingElem() for _ in range(n)] for _ in range(n)]
     words = reduced_words(_pairing_mu(pairing), degree // 2)
     solver = SparseSolver()
@@ -628,7 +628,10 @@ def symmetry_witness(pairing, zeta: int, degree: int):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            sol = solver.solve(dict(residuals[i][j].terms))
+            # bar is an involution and zeta^2 = 1
+            residual = (upper[i, j] if i <= j
+                        else series_involution(upper[j, i]) * zeta)
+            sol = solver.solve(dict(residual.terms))
             if sol is None:
                 return None
             out[i][j] = GroupRingElem({words[k]: c for k, c in sol.items()})

@@ -7,14 +7,16 @@ splits off L as an orthogonal summand.  The dichotomy is forced: the radical
 of the restricted form is a submodule of the simple L.  Composition length
 strictly decreases, so the loop terminates.
 
-Simplicity is certified.  The fast path is a MeatAxe-style search (spin null
-vectors of irreducible factors of the minimal polynomial of sampled algebra
-elements) together with the two-sided spin criterion, which is sound whenever
-the chosen factor's nullity equals its degree.  The complete fallback
-computes the Jacobson radical of the acting algebra through the trace form
-(valid in characteristic zero) and then hunts for zero divisors or
-idempotents in the endomorphism ring; quaternion endomorphism algebras over Q
-are decided exactly by Hilbert symbols on the norm form.
+Simplicity is certified.  The fast path is a MeatAxe-style search: one
+null-space sweep yields ker p(a) for the irreducible factors p of the minimal
+polynomials of sampled algebra elements a; its vectors are spun, and Norton's
+two-sided spin criterion decides when the nullity of p(a) equals deg p.  The
+isotropic search walks the same sweep and stops as soon as Norton certifies
+the module simple.  The complete fallback computes the Jacobson radical of
+the acting algebra through the trace form (valid in characteristic zero) and
+then hunts for zero divisors or idempotents in the endomorphism ring;
+quaternion endomorphism algebras over Q are decided exactly by Hilbert
+symbols on the norm form.
 """
 
 from __future__ import annotations
@@ -127,60 +129,71 @@ def _element_stream(V: SeifertModule):
         yield lincomb(coeffs, terms)
 
 
-def _columns(m: QMatrix) -> list:
-    return [m.col(j) for j in range(m.cols)]
+def _factor_kernels(V: SeifertModule):
+    """The one null-space sweep of the MeatAxe search, over the first eight
+    sampled algebra elements a: (count, a, kernels) with count the index of
+    a, where kernels yields (p, columns of ker p(a)) for each irreducible
+    factor p of the minimal polynomial of a, each kernel computed only when
+    the caller asks for it."""
+    for count, a in enumerate(itertools.islice(_element_stream(V), 8)):
+        _, factors = factor_rational_poly(minimal_polynomial(a))
+        yield count, a, _kernels(a, factors)
 
 
-def _simplicity_witness(V: SeifertModule):
-    """('simple', certificate) or ('submodule', inclusion of a proper nonzero
+def _kernels(a: QMatrix, factors: list):
+    for p, _mult in factors:
+        m = kernel_columns(p.eval_matrix(a))
+        yield p, [m.col(j) for j in range(m.cols)]
+
+
+def _norton_dual_spin(V: SeifertModule, a: QMatrix, p):
+    """Spin of a vector of ker p(a^T) under the transposed generators.
+
+    Norton's criterion (Holt-Rees 1994): when nullity p(a) = deg p and a
+    vector of ker p(a) spins to Q^n, V is simple exactly when this spin is
+    Q^n too; otherwise its annihilator is a proper nonzero submodule."""
+    gens_t = [g.transpose() for g in V.generators()]
+    w = kernel_columns(p.eval_matrix(a.transpose())).col(0)
+    return spin(gens_t, [w], V.dim)
+
+
+def is_simple(V: SeifertModule):
+    """(True, certificate) or (False, witness inclusion of a proper nonzero
     submodule)."""
     n = V.dim
     if n == 0:
         raise SeifertError("zero module")
     if n == 1:
-        return "simple", SimpleCertificate("dimension-1")
+        return True, SimpleCertificate("dimension-1")
     gens = V.generators()
-    gens_t = [g.transpose() for g in gens]
 
     # fast path: sampled algebra elements, factored minimal polynomials
-    for count, a in enumerate(_element_stream(V)):
-        mp = minimal_polynomial(a)
-        if mp.degree() < 1:
-            continue
-        _, factors = factor_rational_poly(mp)
-        for p, _mult in factors:
-            ker = _columns(kernel_columns(p.eval_matrix(a)))
-            for v in ker:
+    for count, a, kernels in _factor_kernels(V):
+        for p, ker in kernels:
+            # nullity p(a) = deg p: ker p(a) is a line over the field
+            # Q[a]/(p), and all its nonzero vectors spin to one submodule
+            line = len(ker) == p.degree()
+            for v in ker[:1] if line else ker:
                 spun = spin(gens, [v], n)
                 if 0 < spun.dim() < n:
-                    sub, incl = submodule_from_basis(
-                        V, spun.basis_matrix().transpose())
-                    return "submodule", incl
-            if len(ker) == p.degree():
-                # Norton certification: one vector on each side suffices
-                ker_t = kernel_columns(p.eval_matrix(a.transpose()))
-                spun_t = spin(gens_t, [ker_t.col(0)], n)
+                    return False, submodule_from_basis(
+                        V, spun.basis_matrix().transpose())[1]
+            if line:
+                spun_t = _norton_dual_spin(V, a, p)
                 if spun_t.dim() == n:
-                    return "simple", SimpleCertificate(
-                        "norton",
-                        {"element_index": count, "factor": p})
-                sub, incl = submodule_from_basis(
-                    V, kernel_columns(spun_t.basis_matrix()))
-                return "submodule", incl
-        if count >= 7:
-            break
+                    return True, SimpleCertificate(
+                        "norton", {"element_index": count, "factor": p})
+                return False, submodule_from_basis(
+                    V, kernel_columns(spun_t.basis_matrix()))[1]
 
     # complete fallback: algebra radical, then the endomorphism ring
     basis = algebra_basis(V)
     rad = algebra_radical(basis)
     if rad:
-        cols = []
-        for m in rad:
-            cols.extend([m.col(j) for j in range(n)])
-        spun = spin(gens, cols, n)
+        spun = spin(gens, [m.col(j) for m in rad for j in range(n)], n)
         assert 0 < spun.dim() < n
-        sub, incl = submodule_from_basis(V, spun.basis_matrix().transpose())
-        return "submodule", incl
+        return False, submodule_from_basis(
+            V, spun.basis_matrix().transpose())[1]
 
     return _semisimple_witness(V)
 
@@ -193,11 +206,10 @@ def _semisimple_witness(V: SeifertModule):
     ends = hom_space(V, V)
     k = len(ends)
     if k == 1:
-        return "simple", SimpleCertificate("schur-field", {"end_dim": 1})
+        return True, SimpleCertificate("schur-field", {"end_dim": 1})
 
     def witness_from(mat: QMatrix):
-        sub, incl = submodule_from_basis(V, kernel_columns(mat))
-        return "submodule", incl
+        return False, submodule_from_basis(V, kernel_columns(mat))[1]
 
     rng = random.Random(_STREAM_RNG_SEED ^ 0xE11D)
     candidates = list(ends)
@@ -211,8 +223,6 @@ def _semisimple_witness(V: SeifertModule):
         if b.is_zero():
             continue
         q = minimal_polynomial(b)
-        if q.degree() < 1:
-            continue
         _, factors = factor_rational_poly(q)
         if len(factors) > 1 or factors[0][1] > 1:
             p1 = factors[0][0]
@@ -220,7 +230,7 @@ def _semisimple_witness(V: SeifertModule):
         if commutative and q.degree() == k:
             # primitive element with irreducible minimal polynomial:
             # End(V) is a number field, V is simple
-            return "simple", SimpleCertificate(
+            return True, SimpleCertificate(
                 "schur-field", {"end_dim": k, "minpoly": q})
 
     if commutative:
@@ -237,7 +247,7 @@ def _semisimple_witness(V: SeifertModule):
                                       "without quaternion presentation")
         a, b, i_mat, j_mat = quac
         if _quaternion_is_division(a, b):
-            return "simple", SimpleCertificate(
+            return True, SimpleCertificate(
                 "quaternion-division", {"a": a, "b": b})
         sol = _solve_conic(a, b)
         if sol is None:
@@ -345,34 +355,20 @@ def _solve_conic(a: Fraction, b: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# public simplicity API
+# composition series
 # ---------------------------------------------------------------------------
-
-def is_simple(V: SeifertModule):
-    """(True, certificate) or (False, witness inclusion of a proper nonzero
-    submodule)."""
-    if V.dim == 0:
-        raise SeifertError("zero module")
-    verdict, payload = _simplicity_witness(V)
-    if verdict == "simple":
-        return True, payload
-    return False, payload
-
 
 def find_simple_submodule(V: SeifertModule):
     """A certified simple submodule: (module, inclusion into V, certificate)."""
-    if V.dim == 0:
-        raise SeifertError("zero module")
     current = V
     incl_chain = QMatrix.identity(V.dim)
     while True:
-        verdict, payload = _simplicity_witness(current)
-        if verdict == "simple":
+        simple, payload = is_simple(current)
+        if simple:
             sub, incl = submodule_from_basis(V, incl_chain)
             return sub, incl, payload
-        witness = payload
-        incl_chain = incl_chain * witness.matrix
-        current = witness.source
+        incl_chain = incl_chain * payload.matrix
+        current = payload.source
 
 
 def composition_series(V: SeifertModule):
@@ -410,7 +406,6 @@ class IsotypicGroup:
 class AnisotropicDecomposition:
     groups: list
     log: list
-    seed: int = 0
 
 
 def _isotropic_candidate(f: SeifertForm):
@@ -420,34 +415,36 @@ def _isotropic_candidate(f: SeifertForm):
 
     Candidate submodules are spins of null-space vectors of factored sampled
     algebra elements, together with small combinations of null-space basis
-    vectors (these catch diagonal lagrangians of orthogonal sums)."""
+    vectors (these catch diagonal lagrangians of orthogonal sums).  The
+    smallest isotropic one wins; once one is found, no element past the
+    third is started.  None as soon as Norton certifies V simple."""
     V = f.module
     n = V.dim
     gens = V.generators()
     best = None
-    for count, a in enumerate(_element_stream(V)):
-        mp = minimal_polynomial(a)
-        if mp.degree() >= 1:
-            _, factors = factor_rational_poly(mp)
-            for p, _mult in factors:
-                ker = _columns(kernel_columns(p.eval_matrix(a)))
-                vectors = list(ker)
-                for i, j in itertools.islice(
-                        itertools.combinations(range(len(ker)), 2), 24):
-                    vectors.append([x + y for x, y in zip(ker[i], ker[j])])
-                    vectors.append([x - y for x, y in zip(ker[i], ker[j])])
-                for v in vectors:
-                    spun = spin(gens, [v], n)
-                    d = spun.dim()
-                    if not 0 < d < n:
-                        continue
-                    basis = spun.basis_matrix().transpose()
-                    iso = (basis.transpose() * f.phi * basis).is_zero()
-                    if iso and (best is None or d < best[1]):
-                        best = (basis, d)
+    for count, a, kernels in _factor_kernels(V):
+        for p, ker in kernels:
+            vectors = list(ker)
+            for i, j in itertools.islice(
+                    itertools.combinations(range(len(ker)), 2), 24):
+                vectors.append([x + y for x, y in zip(ker[i], ker[j])])
+                vectors.append([x - y for x, y in zip(ker[i], ker[j])])
+            for k, v in enumerate(vectors):
+                spun = spin(gens, [v], n)
+                d = spun.dim()
+                if k == 0 and d == n and len(ker) == p.degree():
+                    # ker p(a) is a line (see is_simple): every vector in it
+                    # spins to V, and only the dual spin can tell more
+                    if _norton_dual_spin(V, a, p).dim() == n:
+                        return None
+                    break
+                if not 0 < d < n:
+                    continue
+                basis = spun.basis_matrix().transpose()
+                iso = (basis.transpose() * f.phi * basis).is_zero()
+                if iso and (best is None or d < best[1]):
+                    best = (basis, d)
         if best is not None and count >= 2:
-            break
-        if count >= 7:
             break
     if best is None:
         return None
@@ -462,7 +459,7 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
     found, otherwise a simple summand is split off.  Pieces are grouped
     isotypically; hyperbolic pairs inside a group are cancelled when the
     class computation is decidable (always when the two forms are exact
-    negatives).
+    negatives).  The seed is only written into the log.
     """
     err = f.validate()
     if err is not None:
@@ -475,17 +472,13 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
         if g.module.dim == 0:
             continue
         iso_incl = _isotropic_candidate(g)
-        if iso_incl is not None:
+        if iso_incl is None:
+            simple, incl, cert = find_simple_submodule(g.module)
+        else:
             # any simple inside an isotropic submodule is an isotropic simple
-            inner, inner_incl, _cert = find_simple_submodule(iso_incl.source)
-            incl_matrix = iso_incl.matrix * inner_incl.matrix
-            sub, incl = submodule_from_basis(g.module, incl_matrix)
-            reduced, _section = induced_form_on_subquotient(g, incl)
-            log.append(f"isotropic simple of dim {sub.dim}: "
-                       f"pass to subquotient of dim {reduced.module.dim}")
-            work.append(reduced)
-            continue
-        simple, incl, cert = find_simple_submodule(g.module)
+            _inner, inner_incl, cert = find_simple_submodule(iso_incl.source)
+            simple, incl = submodule_from_basis(
+                g.module, iso_incl.matrix * inner_incl.matrix)
         restriction = restrict_form(g, incl)
         if restriction.phi.is_zero():
             reduced, _section = induced_form_on_subquotient(g, incl)
@@ -503,7 +496,7 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
     groups = [_cancel_hyperbolic_pairs(gr, log) for gr in groups]
     groups = [gr for gr in groups if gr.forms]
     groups.sort(key=_group_sort_key)
-    return AnisotropicDecomposition(groups, log, seed)
+    return AnisotropicDecomposition(groups, log)
 
 
 def isotypic_group(pieces, log=None) -> list:

@@ -1063,8 +1063,8 @@ def refine_isolating_interval(p: QPoly, interval, max_width: Fraction):
     while b - a > max_width:
         m = (a + b) / 2
         fm = p.eval(m)
-        if fm == 0:
-            # shift m slightly; the root is interior and irrational-safe
+        while fm == 0:
+            # shift m towards a until it is off every root
             m = (a + m) / 2
             fm = p.eval(m)
         if (fa > 0) != (fm > 0):

@@ -401,7 +401,6 @@ class InvariantReport:
     pieces: list
     verdict: str
     log: list = field(default_factory=list)
-    seed: int = 0
 
 
 def invariant_report(decomposition) -> InvariantReport:
@@ -420,8 +419,7 @@ def invariant_report(decomposition) -> InvariantReport:
         verdict = "undetermined (partial invariants)"
     else:
         verdict = "witt-trivial"
-    return InvariantReport(pieces, verdict, list(decomposition.log),
-                           decomposition.seed)
+    return InvariantReport(pieces, verdict, list(decomposition.log))
 
 
 def _piece_report(group) -> PieceReport:

@@ -489,3 +489,12 @@ def test_symmetry_witness_is_zero_on_random_forms():
             witness = symmetry_witness(blanchfield_pairing(f, 8), zeta, 8)
             assert witness is not None
             assert all(w.is_zero() for row in witness for w in row)
+
+
+def test_symmetry_witness_fails_on_lower_triangle_corruption():
+    # residual_10 is read off residual_01, which must still see P_10
+    f = worked_example_form()
+    pairing = [[v.truncated for v in row]
+               for row in blanchfield_pairing(f, 8)]
+    pairing[1][0] = pairing[1][0] + TruncatedSeries(8, {(1, 2, 1, 1, 2): 1})
+    assert symmetry_witness(pairing, -1, 8) is None

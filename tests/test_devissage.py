@@ -241,3 +241,19 @@ def test_quaternionic_piece_refused_honestly():
     assert piece.status.startswith("unsupported")
     assert "quaternion" in piece.algebra_kind
     assert piece.signatures is None and piece.hasse is None
+
+
+def test_isotropic_search_stops_at_the_norton_certificate(monkeypatch):
+    # the first sampled element already certifies the module simple, so no
+    # proper submodule exists and the other seven are never factored
+    import linkwitt.devissage as dv
+    from linkwitt.rational import minimal_polynomial
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return minimal_polynomial(m)
+
+    monkeypatch.setattr(dv, "minimal_polynomial", counted)
+    assert dv._isotropic_candidate(worked_example_simple_form()) is None
+    assert len(calls) == 1

@@ -355,3 +355,14 @@ def test_primality_agrees_with_trial_division():
     for n in range(20000):
         by_division = n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
         assert _is_probable_prime(n) == by_division
+
+
+def test_refined_interval_keeps_its_sign_change_when_midpoints_are_roots():
+    # the first midpoint 0 is a root of p, and so is its first shift -1/2
+    from linkwitt.rational import refine_isolating_interval
+    x = QPoly([0, 1])
+    p = -(x * (x + QPoly([Fraction(1, 2)])) * (x - QPoly([Fraction(7, 10)])))
+    a, b = refine_isolating_interval(p, (Fraction(-1), Fraction(1)),
+                                     Fraction(1, 100))
+    assert b - a <= Fraction(1, 100)
+    assert p.eval(a) * p.eval(b) < 0
