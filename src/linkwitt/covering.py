@@ -351,16 +351,25 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
 # ---------------------------------------------------------------------------
 
 def _word_products(start: QMatrix, transitions: list, degree: int) -> dict:
-    """{word: start T_{i1} ... T_{ik}} for every word in the letters
+    """{word: start T_{i1} ... T_{ik}} for the words in the letters
     1..len(transitions) of length <= degree (none when degree < 0), built
-    breadth-first with one matrix product per word."""
+    breadth-first with one matrix product per word.  The empty word is
+    always there; a longer word only when its product is nonzero, since
+    every extension of a zero product is zero and all consumers drop zero
+    coefficients.  Letters with a zero transition are never tried."""
     products = {(): start} if degree >= 0 else {}
-    frontier = list(products)
+    letters = [(i, t) for i, t in enumerate(transitions, start=1)
+               if not t.is_zero()]
+    frontier = [] if start.is_zero() else [((), start)]
     for _ in range(degree):
-        frontier = [w + (i,) for w in frontier
-                    for i in range(1, len(transitions) + 1)]
-        for w in frontier:
-            products[w] = products[w[:-1]] * transitions[w[-1] - 1]
+        grown = []
+        for w, m in frontier:
+            for i, t in letters:
+                p = m * t
+                if not p.is_zero():
+                    products[w + (i,)] = p
+                    grown.append((w + (i,), p))
+        frontier = grown
     return products
 
 

@@ -12,11 +12,12 @@ null-space sweep yields ker p(a) for the irreducible factors p of the minimal
 polynomials of sampled algebra elements a; its vectors are spun, and Norton's
 two-sided spin criterion decides when the nullity of p(a) equals deg p.  The
 isotropic search walks the same sweep and stops as soon as Norton certifies
-the module simple.  The complete fallback computes the Jacobson radical of
-the acting algebra through the trace form (valid in characteristic zero) and
-then hunts for zero divisors or idempotents in the endomorphism ring;
-quaternion endomorphism algebras over Q are decided exactly by Hilbert
-symbols on the norm form.
+the module simple; the reduction loop then takes that certificate as is.
+The complete fallback computes the Jacobson radical of the acting algebra
+through the trace form (valid in characteristic zero) and then hunts for
+zero divisors or idempotents in the endomorphism ring; quaternion
+endomorphism algebras over Q are decided exactly by Hilbert symbols on the
+norm form.
 """
 
 from __future__ import annotations
@@ -418,8 +419,19 @@ def _isotropic_candidate(f: SeifertForm):
     vectors (these catch diagonal lagrangians of orthogonal sums).  The
     smallest isotropic one wins; once one is found, no element past the
     third is started.  None as soon as Norton certifies V simple."""
+    return _isotropic_search(f)[0]
+
+
+def _isotropic_search(f: SeifertForm):
+    """(inclusion, None) for the submodule `_isotropic_candidate` finds,
+    (None, certificate) when the search ends because V is simple, with the
+    certificate `is_simple(V)` gives, else (None, None).  On a simple V
+    both walk the same sweep to the same first factor whose kernel is a
+    line, since no vector before it spins to a proper submodule."""
     V = f.module
     n = V.dim
+    if n == 1:
+        return None, SimpleCertificate("dimension-1")
     gens = V.generators()
     best = None
     for count, a, kernels in _factor_kernels(V):
@@ -436,7 +448,8 @@ def _isotropic_candidate(f: SeifertForm):
                     # ker p(a) is a line (see is_simple): every vector in it
                     # spins to V, and only the dual spin can tell more
                     if _norton_dual_spin(V, a, p).dim() == n:
-                        return None
+                        return None, SimpleCertificate(
+                            "norton", {"element_index": count, "factor": p})
                     break
                 if not 0 < d < n:
                     continue
@@ -447,9 +460,8 @@ def _isotropic_candidate(f: SeifertForm):
         if best is not None and count >= 2:
             break
     if best is None:
-        return None
-    sub, incl = submodule_from_basis(V, best[0])
-    return incl
+        return None, None
+    return submodule_from_basis(V, best[0])[1], None
 
 
 def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
@@ -471,8 +483,12 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
         g = work.pop()
         if g.module.dim == 0:
             continue
-        iso_incl = _isotropic_candidate(g)
-        if iso_incl is None:
+        iso_incl, cert = _isotropic_search(g)
+        if cert is not None:
+            # certified simple by the search itself
+            simple, incl = submodule_from_basis(
+                g.module, QMatrix.identity(g.module.dim))
+        elif iso_incl is None:
             simple, incl, cert = find_simple_submodule(g.module)
         else:
             # any simple inside an isotropic submodule is an isotropic simple

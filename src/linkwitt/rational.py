@@ -548,10 +548,16 @@ class QPoly:
         return acc
 
     def eval_matrix(self, M: QMatrix) -> QMatrix:
-        ident = QMatrix.identity(M.rows)
-        acc = QMatrix.zeros(M.rows, M.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * M + ident.scale(c)
+        """Horner from the leading coefficient; each step adds the next
+        coefficient on the diagonal only."""
+        if not self.coeffs:
+            return QMatrix.zeros(M.rows, M.cols)
+        acc = QMatrix.identity(M.rows).scale(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * M
+            if c:
+                for i, row in enumerate(acc.data):
+                    row[i] += c
         return acc
 
     def compose(self, inner: "QPoly") -> "QPoly":

@@ -13,8 +13,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, coordinates, kernel_columns,
-                       lincomb, rat, solve_or_kernel, spin)
+from .rational import (Q0, Q1, QMatrix, RowSpace, coordinates,
+                       kernel_columns, lincomb, rat, spin)
 
 
 class SeifertError(ValueError):
@@ -362,39 +362,82 @@ def restrict_form(f: SeifertForm, incl: SeifertMorphism) -> SeifertForm:
 # ---------------------------------------------------------------------------
 
 def hom_space(V: SeifertModule, W: SeifertModule) -> list:
-    """Basis of the space of module maps V -> W, as matrices."""
+    """Basis of the space of module maps V -> W, as matrices.
+
+    MeatAxe standard basis (Parker 1984): V is spun breadth-first from the
+    seeds e_1, e_2, ... in order, a seed already in the span being skipped,
+    and each new basis vector b_k is recorded as a seed or as a generator g
+    applied to an earlier b_j.  A map F is fixed by the images of the r
+    seeds that start a spin, so there are r * dim W unknowns; replaying the
+    recipes with the generators of W gives F(b_k) as a linear map of them.
+    The equations are W_g F(b_k) = sum_j C_g[j][k] F(b_j) with
+    C_g = B^-1 V_g B, B = [b_1 ... b_n]; an equation that restates a recipe
+    holds by construction and is skipped.
+
+    The basis returned is the reduced one in the entries of F, row-major:
+    the identity on the free coordinates of the linear system F V_g = W_g F,
+    in ascending order.  By matroid duality those are the lexicographically
+    last coordinates on which Hom projects isomorphically, so the reduced
+    echelon form with the columns read from the right yields that basis."""
     if V.mu != W.mu:
         raise SeifertError("component count mismatch")
     nV, nW = V.dim, W.dim
     if nV == 0 or nW == 0:
         return []
-    # unknowns: entries of F (nW x nV), row-major
+    gens_v, gens_w = V.generators(), W.generators()
+    space, vectors, recipes = RowSpace(nV), [], []
+    for t in range(nV):
+        j = len(vectors)
+        seed = [Q1 if i == t else Q0 for i in range(nV)]
+        if space.add(seed):
+            vectors.append(seed)
+            recipes.append(None)
+        while j < len(vectors):
+            for g, m in enumerate(gens_v):
+                v = m.apply(vectors[j])
+                if space.add(v):
+                    vectors.append(v)
+                    recipes.append((g, j))
+            j += 1
+    made = set(recipes)
+    # F(b_k) as nW x u matrices in the seed images w_1..w_r, stacked
+    u = nW * recipes.count(None)
+    images, off = [], 0
+    for recipe in recipes:
+        if recipe is None:
+            images.append(QMatrix(nW, u, [[Q1 if c == off + a else Q0
+                                           for c in range(u)]
+                                          for a in range(nW)]))
+            off += nW
+        else:
+            g, j = recipe
+            images.append(gens_w[g] * images[j])
+    B_inv = QMatrix.from_rows(vectors).transpose().inverse()
     rows = []
-    pairs = [(V.s, W.s)] + list(zip(V.projections, W.projections))
-    for a, b in pairs:
-        # F a - b F = 0
-        for i in range(nW):
-            for j in range(nV):
-                row = [Q0] * (nW * nV)
-                for k in range(nV):
-                    if a.data[k][j]:
-                        row[i * nV + k] += a.data[k][j]
-                for k in range(nW):
-                    if b.data[i][k]:
-                        row[k * nV + j] -= b.data[i][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        basis = [[Q1 if t == idx else Q0 for t in range(nW * nV)]
-                 for idx in range(nW * nV)]
-    else:
-        res = solve_or_kernel(QMatrix.from_rows(rows))
-        basis = res.kernel
-    out = []
-    for vec in basis:
-        out.append(QMatrix(nW, nV, [vec[i * nV:(i + 1) * nV]
-                                    for i in range(nW)]))
-    return out
+    for g, (a, b) in enumerate(zip(gens_v, gens_w)):
+        for k in range(nV):
+            if (g, k) in made:
+                continue
+            lhs = (b * images[k]).data
+            # column k of C_g
+            for c, im in zip(B_inv.apply(a.apply(vectors[k])), images):
+                if c:
+                    lhs = [[x - c * y for x, y in zip(lr, ir)]
+                           for lr, ir in zip(lhs, im.data)]
+            rows.extend(r for r in lhs if any(r))
+    kernel = kernel_columns(QMatrix(len(rows), u, rows))
+    if kernel.cols == 0:
+        return []
+    # F = [F(b_1) ... F(b_n)] B^-1 for each kernel vector, flattened
+    flat = []
+    for x in range(kernel.cols):
+        w = kernel.col(x)
+        FB = QMatrix(nV, nW, [im.apply(w) for im in images]).transpose()
+        flat.append((FB * B_inv).flat()[::-1])
+    R, _pivots = QMatrix.from_rows(flat).rref()
+    return [QMatrix(nW, nV, [row[::-1][i * nV:(i + 1) * nV]
+                             for i in range(nW)])
+            for row in reversed(R.data)]
 
 
 _ISO_RNG_SEED = 0x15031991

@@ -279,3 +279,18 @@ def test_undecided_reduction_exit_code(capsys, monkeypatch, error, command,
     assert code == 5
     assert out == ""
     assert err == f"undecided: {error}\n"
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "knot_genus4.invariants.txt"),
+    ("json", "knot_genus4.invariants.json"),
+])
+def test_genus4_knot_report_bytes(capsys, fmt, expected):
+    # a scrambled genus-4 knot form: the 8-dimensional simple piece has a
+    # 64-entry hom-space basis whose order the printed report depends on
+    code, out, err = _run(capsys, "invariants", _path("knot_genus4.json"),
+                          "--format", fmt)
+    with open(os.path.join(DATA, "expected", expected), encoding="utf-8",
+              newline="") as fh:
+        assert out == fh.read()
+    assert code == 0 and err == ""

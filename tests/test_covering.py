@@ -498,3 +498,29 @@ def test_symmetry_witness_fails_on_lower_triangle_corruption():
                for row in blanchfield_pairing(f, 8)]
     pairing[1][0] = pairing[1][0] + TruncatedSeries(8, {(1, 2, 1, 1, 2): 1})
     assert symmetry_witness(pairing, -1, 8) is None
+
+
+def test_sigma_inverse_truncated_matches_the_full_word_expansion():
+    # e_2 = 0 makes every word with the letter 2 zero, and a nilpotent s
+    # every long word; the last module has a zero row in every product.
+    # The series must match the expansion over all words, zero products
+    # included
+    import itertools
+    degree = 5
+    for rows, sizes in (([[0, 1, 2], [0, 0, 1], [0, 0, 0]], [3, 0]),
+                        ([[1, -1, 0], [2, 0, 1], [0, 1, -1]], [3, 0]),
+                        ([[0, 0, 0], [1, 1, 0], [2, -1, 1]], [2, 1])):
+        V = SeifertModule.from_blocks(2, QMatrix(3, 3, rows), sizes)
+        steps = [(V.s * e).scale(-1) for e in V.projections]
+        expected = [[{} for _ in range(3)] for _ in range(3)]
+        for length in range(degree + 1):
+            for w in itertools.product((1, 2), repeat=length):
+                m = QMatrix.identity(3)
+                for i in w:
+                    m = m * steps[i - 1]
+                for p in range(3):
+                    for q in range(3):
+                        if m.data[p][q]:
+                            expected[p][q][w] = m.data[p][q]
+        got = sigma_inverse_truncated(V, degree)
+        assert [[x.terms for x in row] for row in got] == expected

@@ -257,3 +257,50 @@ def test_isotropic_search_stops_at_the_norton_certificate(monkeypatch):
     monkeypatch.setattr(dv, "minimal_polynomial", counted)
     assert dv._isotropic_candidate(worked_example_simple_form()) is None
     assert len(calls) == 1
+
+
+def _knot_form(rng, genus):
+    # Levine knot form: Seifert matrix A = S + N with S symmetric and
+    # A - A^T = J, phi = J, s = J^-1 A = -J A
+    n = 2 * genus
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = rng.randint(-2, 2)
+    upper = [[int(j == i + genus) for j in range(n)] for i in range(n)]
+    a = QMatrix(n, n, [[x + y for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(sym, upper)])
+    J = QMatrix(n, n, upper) - QMatrix(n, n, upper).transpose()
+    V = SeifertModule.from_blocks(1, -(J * a), [n])
+    return SeifertForm(V, -1, J)
+
+
+def test_isotropic_search_certificate_is_that_of_is_simple(monkeypatch):
+    # witt_reduce takes the simplicity certificate from the isotropic
+    # search instead of certifying the same module again
+    from fractions import Fraction
+    import linkwitt.devissage as dv
+    searched = []
+    search = dv._isotropic_search
+
+    def recorded(g):
+        out = search(g)
+        searched.append((g, out))
+        return out
+
+    monkeypatch.setattr(dv, "_isotropic_search", recorded)
+    line = SeifertForm(SeifertModule.from_blocks(
+        1, QMatrix(1, 1, [[Fraction(1, 2)]]), [1]), 1, QMatrix(1, 1, [[3]]))
+    rng = random.Random(77)
+    forms = [worked_example_form(), line]
+    forms += [_knot_form(rng, 2) for _ in range(10)]
+    for f in forms:
+        witt_reduce(f)
+    kinds = []
+    for g, (incl, cert) in searched:
+        assert incl is None or cert is None
+        if cert is not None:
+            assert cert == is_simple(g.module)[1]
+            kinds.append(cert.kind)
+    assert "dimension-1" in kinds
+    assert kinds.count("norton") >= 10

@@ -237,3 +237,57 @@ def test_hyperbolic_form_valid_any_module():
         h = hyperbolic_form(W, rng.choice([1, -1]))
         assert validate_form(h) is None
         assert h.module.dim == 2 * W.dim
+
+
+def _hom_space_entrywise(V, W):
+    """Hom(V, W) from the n_V n_W entries of F, row-major, as unknowns: the
+    system F a - b F = 0 for every pair of generators, kernel basis from
+    solve_or_kernel (one vector per free entry, ascending)."""
+    from fractions import Fraction
+    from linkwitt.rational import solve_or_kernel
+    nV, nW = V.dim, W.dim
+    rows = []
+    for a, b in zip(V.generators(), W.generators()):
+        for i in range(nW):
+            for j in range(nV):
+                row = [Fraction(0)] * (nW * nV)
+                for k in range(nV):
+                    row[i * nV + k] += a.data[k][j]
+                for k in range(nW):
+                    row[k * nV + j] -= b.data[i][k]
+                if any(row):
+                    rows.append(row)
+    if rows:
+        kernel = solve_or_kernel(QMatrix.from_rows(rows)).kernel
+    else:
+        kernel = [[Fraction(int(t == idx)) for t in range(nW * nV)]
+                  for idx in range(nW * nV)]
+    return [QMatrix(nW, nV, [vec[i * nV:(i + 1) * nV] for i in range(nW)])
+            for vec in kernel]
+
+
+def _sparse_module(rng, mu, sizes):
+    # mostly-zero s, so that hom spaces are often large
+    n = sum(sizes)
+    s = QMatrix(n, n, [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(n)]
+                       for _ in range(n)])
+    return SeifertModule.from_blocks(mu, s, sizes)
+
+
+def test_hom_space_matches_the_entrywise_system():
+    # same basis, in the same order, as the n_V n_W-unknown system
+    from support import random_block_sizes
+    rng = random.Random(66)
+    large = zero_blocks = 0
+    for trial in range(36):
+        mu = 1 + trial % 3
+        A, B = (_sparse_module(rng, mu, random_block_sizes(
+            rng, mu, rng.randint(1, 3))) for _ in range(2))
+        zero_blocks += any(e.is_zero() for e in A.projections)
+        AA = A.direct_sum(A)
+        for V, W in [(A, A), (A, B), (AA, A), (A, AA), (AA, AA),
+                     (A, A.dual()), (A.direct_sum(B), B.direct_sum(A))]:
+            got = hom_space(V, W)
+            assert got == _hom_space_entrywise(V, W)
+            large += len(got) >= 3
+    assert large >= 20 and zero_blocks >= 5
