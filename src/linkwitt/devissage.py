@@ -378,8 +378,9 @@ def composition_series(V: SeifertModule):
     Returns a list of (inclusion morphism of V_i into V, simple quotient
     V_i / V_{i-1}).
     """
-    if V.validate() is not None:
-        raise SeifertError(V.validate())
+    err = V.validate()
+    if err is not None:
+        raise SeifertError(err)
     steps = []
     _sub, incl = submodule_from_basis(V, QMatrix.zeros(V.dim, 0))
     while incl.matrix.cols < V.dim:
@@ -486,8 +487,9 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
         iso_incl, cert = _isotropic_search(g)
         if cert is not None:
             # certified simple by the search itself
-            simple, incl = submodule_from_basis(
-                g.module, QMatrix.identity(g.module.dim))
+            simple = g.module
+            incl = SeifertMorphism(simple, simple,
+                                   QMatrix.identity(simple.dim), check=False)
         elif iso_incl is None:
             simple, incl, cert = find_simple_submodule(g.module)
         else:

@@ -59,11 +59,13 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
     basis = hom_space(M, M)
     if not basis:
         raise EndomorphismError("empty endomorphism ring")
-    # normalize: identity first
+    # normalize: identity first; the basis is independent, so the identity
+    # lies in its span exactly when the reordered list is no longer
     ident = QMatrix.identity(M.dim)
-    if span_coordinates(basis, [ident]) is None:
+    reordered = _basis_with_identity_first(basis, ident)
+    if len(reordered) != len(basis):
         raise EndomorphismError("identity not in the endomorphism ring")
-    basis = _basis_with_identity_first(basis, ident)
+    basis = reordered
     products = span_coordinates(basis, [a * b for a in basis for b in basis])
     if products is None:
         raise EndomorphismError("endomorphism ring not closed "
@@ -141,11 +143,12 @@ def as_number_field(ring: EndomorphismRing):
         return NoncommutativeEndomorphism(ring, center, quaternion)
     d = ring.dim
     rng = random.Random(0x9C0FFEE)
-    candidates = list(ring.basis)
-    candidates += [a + b for a, b in itertools.combinations(ring.basis, 2)]
-    for _ in range(6 * d):
-        candidates.append(lincomb([rng.randint(-3, 3) for _b in ring.basis],
-                                  ring.basis))
+    # drawn lazily: most rings stop at the first or second candidate
+    candidates = itertools.chain(
+        ring.basis,
+        (a + b for a, b in itertools.combinations(ring.basis, 2)),
+        (lincomb([rng.randint(-3, 3) for _b in ring.basis], ring.basis)
+         for _ in range(6 * d)))
     for theta in candidates:
         mp = minimal_polynomial(theta)
         if mp.degree() == d:

@@ -16,14 +16,17 @@ from .seifert import (SeifertError, SeifertModule, SeifertMorphism,
                       hom_space, quotient_module, submodule_from_basis)
 
 
-def _stacked_kernel(mats) -> QMatrix:
-    """Basis (columns) of the intersection of the kernels."""
-    if not mats:
-        raise ValueError("no matrices")
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    return kernel_columns(stacked)
+def _layer_preimages(V: SeifertModule, ann: QMatrix):
+    """Bases (columns) of the joint kernels of the maps ann s e_i and of the
+    maps ann (1 - s) e_i.  For ann the rows annihilating an invariant
+    subspace U, these are the preimages in V of the largest submodules of
+    V / U with s = 0 and with s = 1."""
+    a_s = ann * V.s
+    a_1s = ann - a_s
+    return tuple(kernel_columns(QMatrix(ann.rows * V.mu, V.dim,
+                                        [row for e in V.projections
+                                         for row in (m * e).data]))
+                 for m in (a_s, a_1s))
 
 
 def trivial_socle(V: SeifertModule):
@@ -36,10 +39,7 @@ def trivial_socle(V: SeifertModule):
     err = V.validate()
     if err is not None:
         raise SeifertError(err)
-    n = V.dim
-    ident = QMatrix.identity(n)
-    w0_basis = _stacked_kernel([V.s * e for e in V.projections])
-    w1_basis = _stacked_kernel([(ident - V.s) * e for e in V.projections])
+    w0_basis, w1_basis = _layer_preimages(V, QMatrix.identity(V.dim))
     return (submodule_from_basis(V, w0_basis),
             submodule_from_basis(V, w1_basis))
 
@@ -58,46 +58,35 @@ class PrimitiveAnalysis:
 
 def max_primitive_submodule(V: SeifertModule):
     """Inclusion of the maximal primitive submodule U and the filtration log
-    exhibiting U as an iterated extension of trivially primitive layers."""
+    exhibiting U as an iterated extension of trivially primitive layers.
+
+    Each step replaces U by the preimage of the s = 0 and s = 1 socles of
+    V / U, read off the rows annihilating U; no quotient is built."""
     err = V.validate()
     if err is not None:
         raise SeifertError(err)
-    _, incl = submodule_from_basis(V, QMatrix.zeros(V.dim, 0))
+    U = QMatrix.zeros(V.dim, 0)
     filtration = []
-    while incl.matrix.cols < V.dim:
-        quot, proj, section = quotient_module(V, incl)
-        (w0, w0_incl), (w1, w1_incl) = trivial_socle(quot)
-        if w0.dim == 0 and w1.dim == 0:
+    while U.cols < V.dim:
+        preimages = _layer_preimages(
+            V, kernel_columns(U.transpose()).transpose())
+        layer = [f"s={t} layer of dim {P.cols - U.cols}"
+                 for t, P in enumerate(preimages) if P.cols > U.cols]
+        if not layer:
             break
-        layer = []
-        lifted = incl.matrix
-        if w0.dim:
-            lifted = lifted.hstack(section * w0_incl.matrix)
-            layer.append(f"s=0 layer of dim {w0.dim}")
-        if w1.dim:
-            lifted = lifted.hstack(section * w1_incl.matrix)
-            layer.append(f"s=1 layer of dim {w1.dim}")
-        # the lifted span is invariant: it is the preimage of an invariant
-        # subspace of the quotient
-        column_space = spin([], [lifted.col(j) for j in range(lifted.cols)],
-                            lifted.rows)
-        _, incl = submodule_from_basis(
-            V, column_space.basis_matrix().transpose())
+        column_space = spin([], [P.col(j) for P in preimages
+                                 for j in range(P.cols)], V.dim)
+        U = column_space.basis_matrix().transpose()
         filtration.append(" + ".join(layer))
-    return incl, filtration
+    return submodule_from_basis(V, U)[1], filtration
 
 
 def min_coprimitive(V: SeifertModule) -> SeifertMorphism:
     """Inclusion of the smallest submodule W with V / W primitive, computed
     as the annihilator of the maximal primitive submodule of the dual."""
-    dual = V.dual()
-    u_incl, _ = max_primitive_submodule(dual)
-    U = u_incl.matrix      # dim x k, columns inside the dual space
-    if U.cols == 0:
-        sub, incl = submodule_from_basis(V, QMatrix.identity(V.dim))
-        return incl
-    sub, incl = submodule_from_basis(V, kernel_columns(U.transpose()))
-    return incl
+    u_incl, _ = max_primitive_submodule(V.dual())
+    return submodule_from_basis(
+        V, kernel_columns(u_incl.matrix.transpose()))[1]
 
 
 def is_primitive(V: SeifertModule) -> bool:

@@ -238,10 +238,6 @@ def validate_form(f: SeifertForm) -> str | None:
     return f.validate()
 
 
-def direct_sum_forms(f: SeifertForm, g: SeifertForm) -> SeifertForm:
-    return f.direct_sum(g)
-
-
 # ---------------------------------------------------------------------------
 # submodules and quotients
 # ---------------------------------------------------------------------------
@@ -258,24 +254,40 @@ def spin_submodule(V: SeifertModule, vectors):
     return submodule_from_basis(V, basis)
 
 
+def _subquotient(V: SeifertModule, L: QMatrix, A: QMatrix) -> SeifertModule:
+    """The module (L + span A) / L in the basis given by the columns of A.
+
+    [L | A] must have full column rank.  Each structure map m is read off
+    one solve of m [L | A] in the basis [L | A]: the A-rows of the L-columns
+    must vanish (L invariant) and the solve must succeed (L + span A
+    invariant); the A-block of the A-columns is the induced map."""
+    k = L.cols
+    full = L.hstack(A)
+    maps = []
+    for m in V.generators():
+        X = coordinates(full, m * full)
+        if X is None or any(any(row[:k]) for row in X.data[k:]):
+            raise SeifertError("subspace is not invariant")
+        maps.append(QMatrix(A.cols, A.cols, [row[k:] for row in X.data[k:]]))
+    return SeifertModule(V.mu, maps[0], maps[1:], V.ring)
+
+
 def submodule_from_basis(V: SeifertModule, basis: QMatrix):
     """Structure induced on an invariant subspace with the given basis
     columns.  Raises when the subspace is not invariant."""
-    if basis.cols == 0:
-        W = SeifertModule.zero(V.mu)
-        return W, SeifertMorphism(W, V, QMatrix.zeros(V.dim, 0), check=False)
+    W = _subquotient(V, QMatrix.zeros(V.dim, 0), basis)
+    return W, SeifertMorphism(W, V, basis)
 
-    def restrict(m: QMatrix) -> QMatrix:
-        X = coordinates(basis, m * basis)
-        if X is None:
-            raise SeifertError("subspace is not invariant")
-        return X
 
-    s_w = restrict(V.s)
-    proj_w = [restrict(e) for e in V.projections]
-    W = SeifertModule(V.mu, s_w, proj_w, V.ring)
-    incl = SeifertMorphism(W, V, basis)
-    return W, incl
+def _complement_coordinates(W: QMatrix) -> list:
+    """The coordinates that are not pivots of the column span of W; raises
+    when W is not of full column rank."""
+    _, pivots = W.transpose().rref()
+    pivset = set(pivots)
+    cols = [j for j in range(W.rows) if j not in pivset]
+    if len(cols) != W.rows - W.cols:
+        raise SeifertError("inclusion matrix is not of full column rank")
+    return cols
 
 
 def quotient_module(V: SeifertModule, incl: SeifertMorphism):
@@ -288,26 +300,16 @@ def quotient_module(V: SeifertModule, incl: SeifertMorphism):
     if incl.target != V:
         raise SeifertError("inclusion does not land in the ambient module")
     W = incl.matrix  # dim x k
-    _, pivots = W.transpose().rref()
-    pivset = set(pivots)
-    section_cols = [j for j in range(V.dim) if j not in pivset]
+    section_cols = _complement_coordinates(W)
     n, k = V.dim, W.cols
-    if len(section_cols) != n - k:
-        raise SeifertError("inclusion matrix is not of full column rank")
     section = QMatrix(n, n - k,
                       [[Q1 if j == c else Q0 for c in section_cols]
                        for j in range(n)])
     # [W | C] is invertible; quotient coordinates are the last n-k rows of
     # its inverse.
-    full = W.hstack(section)
-    inv = full.inverse()
+    inv = W.hstack(section).inverse()
     proj = QMatrix(n - k, n, inv.data[k:])
-
-    def push(m: QMatrix) -> QMatrix:
-        return proj * (m * section)
-
-    Qmod = SeifertModule(V.mu, push(V.s), [push(e) for e in V.projections],
-                         V.ring)
+    Qmod = _subquotient(V, W, section)
     if not Qmod.is_valid():
         raise SeifertError("quotient by a non-invariant subspace")
     proj_mor = SeifertMorphism(V, Qmod, proj)
@@ -323,32 +325,30 @@ def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
     """Form induced on L-perp / L for an isotropic submodule L.
 
     Returns (form on the subquotient, basis columns of the chosen section
-    inside the ambient module).
+    inside the ambient module): the L-perp basis columns at the non-pivot
+    coordinates of L inside L-perp.
     """
-    if f.validate() is not None:
-        raise SeifertError(f"invalid form: {f.validate()}")
+    err = f.validate()
+    if err is not None:
+        raise SeifertError(f"invalid form: {err}")
     L = incl.matrix
     iso = L.transpose() * f.phi * L
     if not iso.is_zero():
         raise SeifertError("submodule is not isotropic")
     perp = perp_basis(f, incl)
-    perp_mod, perp_incl = submodule_from_basis(f.module, perp)
     # locate L inside L-perp
     L_in_perp = coordinates(perp, L)
     if L_in_perp is None:
         raise SeifertError("submodule does not lie in its perpendicular")
-    sub_incl = SeifertMorphism(
-        submodule_from_basis(perp_mod, L_in_perp)[0], perp_mod, L_in_perp,
-        check=False)
-    quot, proj, section = quotient_module(perp_mod, sub_incl)
-    # ambient coordinates of the section basis
-    ambient_section = perp * section
-    phi_bar = ambient_section.transpose() * f.phi * ambient_section
-    induced = SeifertForm(quot, f.zeta, phi_bar)
+    cols = _complement_coordinates(L_in_perp)
+    section = QMatrix(perp.rows, len(cols),
+                      [[row[c] for c in cols] for row in perp.data])
+    phi_bar = section.transpose() * f.phi * section
+    induced = SeifertForm(_subquotient(f.module, L, section), f.zeta, phi_bar)
     err = induced.validate()
     if err is not None:
         raise SeifertError(f"induced form invalid: {err}")
-    return induced, ambient_section
+    return induced, section
 
 
 def restrict_form(f: SeifertForm, incl: SeifertMorphism) -> SeifertForm:

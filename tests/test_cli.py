@@ -294,3 +294,15 @@ def test_genus4_knot_report_bytes(capsys, fmt, expected):
               newline="") as fh:
         assert out == fh.read()
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("name", ["extension", "worked_example"])
+def test_primitive_report_bytes(capsys, name):
+    # the filtration strings and both bases as the socle-quotient loop
+    # printed them
+    code, out, err = _run(capsys, "primitive", _path(f"{name}.json"),
+                          "--format", "json")
+    with open(os.path.join(DATA, "expected", f"{name}.primitive.json"),
+              encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+    assert code == 0 and err == ""

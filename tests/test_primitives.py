@@ -159,3 +159,101 @@ def test_oracle_agreement_fixtures():
     assert presentation_defect(cover_presentation(Vp), 6) > 0
     V0 = SeifertModule.from_blocks(1, QMatrix(1, 1, [[0]]), [1])
     assert presentation_defect(cover_presentation(V0), 6) == 0
+
+
+def _reference_max_primitive(V: SeifertModule):
+    """The socle loop through explicit quotients: build V / U with the
+    section at the non-pivot coordinates of U, take the joint kernels of
+    s e_i and (1 - s) e_i there, lift them and echelonize."""
+    from linkwitt.rational import kernel_columns, spin
+    n = V.dim
+    U = QMatrix.zeros(n, 0)
+    filtration = []
+    while U.cols < n:
+        _, pivots = U.transpose().rref()
+        cols = [j for j in range(n) if j not in pivots]
+        C = QMatrix(n, len(cols), [[1 if j == c else 0 for c in cols]
+                                   for j in range(n)])
+        proj = QMatrix(len(cols), n, U.hstack(C).inverse().data[U.cols:])
+        s_q = proj * V.s * C
+        e_q = [proj * e * C for e in V.projections]
+        lifted, layer = U, []
+        for t, m in enumerate((s_q, QMatrix.identity(len(cols)) - s_q)):
+            stacked = m * e_q[0]
+            for e in e_q[1:]:
+                stacked = stacked.vstack(m * e)
+            W = kernel_columns(stacked)
+            if W.cols:
+                lifted = lifted.hstack(C * W)
+                layer.append(f"s={t} layer of dim {W.cols}")
+        if not layer:
+            break
+        U = spin([], [lifted.col(j) for j in range(lifted.cols)],
+                 n).basis_matrix().transpose()
+        filtration.append(" + ".join(layer))
+    return U, filtration
+
+
+def _scrambled(rng, V: SeifertModule) -> SeifertModule:
+    n = V.dim
+    while True:
+        P = QMatrix(n, n, [[rng.randint(-2, 2) for _ in range(n)]
+                           for _ in range(n)])
+        if P.det() != 0:
+            break
+    P_inv = P.inverse()
+    return SeifertModule(V.mu, P * V.s * P_inv,
+                         [P * e * P_inv for e in V.projections])
+
+
+def test_filtration_matches_quotient_loop():
+    # the annihilator preimages give the bases and layer strings of the
+    # loop through quotient modules, and so does the dual annihilator
+    from linkwitt.rational import kernel_columns
+    from support import random_block_sizes
+    rng = random.Random(73)
+    modules = [_extension_module(), worked_example_simple()]
+    for k in range(40):
+        mu = rng.randint(1, 3)
+        kind = k % 4
+        if kind == 0:
+            V = random_module(rng, mu, rng.randint(1, 4))
+        elif kind == 1:
+            V = _random_primitive_module(rng, mu, rng.randint(1, 4))
+        else:
+            # a direct sum of s = 0 and s = 1 lines
+            dim = rng.randint(1, 4)
+            V = SeifertModule.from_blocks(
+                mu, QMatrix.diag([QMatrix(1, 1, [[rng.choice([0, 1])]])
+                                  for _ in range(dim)]),
+                random_block_sizes(rng, mu, dim))
+            if kind == 3:
+                # a Jordan block gives a second layer, a random summand
+                # a part that is not primitive
+                t = rng.choice([0, 1])
+                jordan = QMatrix(2, 2, [[t, 1], [0, t]])
+                V = V.direct_sum(SeifertModule.from_blocks(
+                    mu, jordan, random_block_sizes(rng, mu, 2)))
+                V = V.direct_sum(random_module(rng, mu, rng.randint(0, 2)))
+        modules.append(_scrambled(rng, V) if rng.random() < 0.5 else V)
+    layered = 0
+    for V in modules:
+        U, filtration = _reference_max_primitive(V)
+        incl, got = max_primitive_submodule(V)
+        assert incl.matrix == U and got == filtration
+        D, _ = _reference_max_primitive(dual_module(V))
+        expected = kernel_columns(D.transpose())
+        assert min_coprimitive(V).matrix == expected
+        layered += len(filtration) > 1
+    assert layered >= 5
+
+
+def test_integral_module_with_fractional_layer():
+    # the s = 0 layer is spanned by (1, -1/4, -1/4): a quotient by it has
+    # no integral matrices in the standard section, yet the module is valid
+    s = QMatrix(3, 3, [[0, -1, 1], [1, 2, 2], [0, 1, -1]])
+    V = SeifertModule.from_blocks(1, s, [3], ring="Z")
+    incl, filtration = max_primitive_submodule(V)
+    assert filtration == ["s=0 layer of dim 1"]
+    assert incl.matrix == QMatrix(3, 1, [[1], ["-1/4"], ["-1/4"]])
+    assert min_coprimitive(V).matrix == min_coprimitive(V.promote()).matrix

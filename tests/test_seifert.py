@@ -291,3 +291,59 @@ def test_hom_space_matches_the_entrywise_system():
             assert got == _hom_space_entrywise(V, W)
             large += len(got) >= 3
     assert large >= 20 and zero_blocks >= 5
+
+
+def _reference_subquotient(f, L):
+    """Form on L-perp / L through intermediate modules: the structure on
+    L-perp, then on the quotient by L inside it (section at the non-pivot
+    coordinates of L in L-perp, projection from [L | C]^-1)."""
+    from linkwitt.rational import coordinates, kernel_columns
+    perp = kernel_columns(L.transpose() * f.phi)
+    on_perp = [coordinates(perp, m * perp) for m in f.module.generators()]
+    L_in_perp = coordinates(perp, L)
+    _, pivots = L_in_perp.transpose().rref()
+    p, k = perp.cols, L.cols
+    cols = [j for j in range(p) if j not in pivots]
+    C = QMatrix(p, p - k, [[1 if j == c else 0 for c in cols]
+                           for j in range(p)])
+    proj = QMatrix(p - k, p, L_in_perp.hstack(C).inverse().data[k:])
+    maps = [proj * m * C for m in on_perp]
+    section = perp * C
+    return maps, section.transpose() * f.phi * section, section
+
+
+def test_induced_form_matches_the_module_chain():
+    # the subquotient read off in ambient coordinates equals the one built
+    # through the L-perp module and its quotient by L
+    from linkwitt.devissage import _isotropic_candidate, find_simple_submodule
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(10):
+        f = random_form(rng, rng.choice([1, 2]), rng.randint(1, 4),
+                        rng.choice([1, -1]))
+        g = f.direct_sum(f.negate())
+        incl = _isotropic_candidate(g)
+        if incl is None:
+            continue
+        _, inner, _ = find_simple_submodule(incl.source)
+        for L in (incl.matrix, incl.matrix * inner.matrix):
+            _, sub_incl = submodule_from_basis(g.module, L)
+            induced, section = induced_form_on_subquotient(g, sub_incl)
+            maps, phi, ref_section = _reference_subquotient(g, L)
+            assert [induced.module.s] + induced.module.projections == maps
+            assert induced.phi == phi and section == ref_section
+            checked += 1
+    assert checked >= 10
+
+
+def test_subquotient_requires_invariant_subspaces():
+    from linkwitt.seifert import _subquotient
+    V = worked_example_simple()     # simple: no proper invariant subspace
+    ident = QMatrix.identity(4)
+    e1 = QMatrix(4, 1, [[1], [0], [0], [0]])
+    rest = QMatrix(4, 3, [row[1:] for row in ident.data])
+    with pytest.raises(SeifertError, match="not invariant"):
+        _subquotient(V, e1, rest)         # L + span A = V, L not invariant
+    with pytest.raises(SeifertError, match="not invariant"):
+        _subquotient(V, QMatrix.zeros(4, 0), e1)
+    assert _subquotient(V, QMatrix.zeros(4, 0), ident) == V
