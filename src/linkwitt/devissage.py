@@ -212,17 +212,13 @@ def _semisimple_witness(V: SeifertModule):
     def witness_from(mat: QMatrix):
         return False, submodule_from_basis(V, kernel_columns(mat))[1]
 
-    rng = random.Random(_STREAM_RNG_SEED ^ 0xE11D)
-    candidates = list(ends)
-    candidates += [a + b for a, b in itertools.combinations(ends, 2)]
-    for _ in range(60):
-        candidates.append(lincomb([rng.randint(-4, 4) for _b in ends], ends))
-
+    # a commutative End(V) is a product of number fields here (the acting
+    # algebra is semisimple), so the candidates hold a primitive element:
+    # its minimal polynomial is reducible or certifies a field
     commutative = all((a * b - b * a).is_zero()
                       for a, b in itertools.combinations(ends, 2))
-    for b in candidates:
-        if b.is_zero():
-            continue
+    for coeffs in endofield.primitive_candidates(k):
+        b = lincomb(coeffs, ends)
         q = minimal_polynomial(b)
         _, factors = factor_rational_poly(q)
         if len(factors) > 1 or factors[0][1] > 1:
@@ -233,11 +229,6 @@ def _semisimple_witness(V: SeifertModule):
             # End(V) is a number field, V is simple
             return True, SimpleCertificate(
                 "schur-field", {"end_dim": k, "minpoly": q})
-
-    if commutative:
-        raise SimplicityUndecided(
-            "no primitive endomorphism found in a commutative endomorphism "
-            "ring; enlarge the search budget")
 
     # noncommutative endomorphism ring: quaternion over Q is decidable
     center = endofield.algebra_center(ends)
@@ -581,10 +572,10 @@ def _pair_cancels(module: SeifertModule, f1: SeifertForm,
         nf = endofield.involution_from_form(nf, b)
     except endofield.EndomorphismError:
         return False
-    g1 = endofield.transported_scalar(nf, b, f1)
+    # against b = zeta f1, f1 transports to 1: the pair cancels when -g2 is
+    # a norm
     g2 = endofield.transported_scalar(nf, b, f2)
-    prod = endofield.field_mul(nf, g1, g2)
-    if endofield.is_norm_class_trivial(nf, endofield.field_neg(nf, prod)):
+    if endofield.is_norm_class_trivial(nf, endofield.field_neg(nf, g2)):
         return True
     # bounded search for an explicit isometry u with u^T f2 u = -f1; a hit
     # exhibits the diagonal-type lagrangian even when the class computation

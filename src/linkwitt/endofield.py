@@ -17,7 +17,6 @@ are ever produced.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,6 +132,24 @@ class NoncommutativeEndomorphism:
         return kind
 
 
+def primitive_candidates(k: int):
+    """Coefficient vectors, in a basis b_1..b_k, of candidate primitive
+    elements of a k-dimensional commutative algebra: the basis itself, then
+    the moment-curve points (1, c, ..., c^(k-1)) for c = 1 .. k(k-1)^2/2 + 1.
+
+    In a product of number fields x is primitive exactly when
+    D(x) = det(1, x, ..., x^(k-1)) (coordinates in the basis) is nonzero.
+    The zeros of D are the union of the proper subalgebras, finitely many
+    proper subspaces.  No proper subspace contains the moment curve (any k
+    of its points are a Vandermonde basis), so D on the curve is a nonzero
+    polynomial in c of degree at most (k-1) * k(k-1)/2, with fewer roots
+    than there are listed points: one of them is primitive."""
+    for i in range(k):
+        yield [1 if j == i else 0 for j in range(k)]
+    for c in range(1, k * (k - 1) ** 2 // 2 + 2):
+        yield [c ** j for j in range(k)]
+
+
 def as_number_field(ring: EndomorphismRing):
     """Present a commutative endomorphism ring as a number field via a
     primitive element; classify noncommutative rings and return a
@@ -142,21 +159,16 @@ def as_number_field(ring: EndomorphismRing):
         quaternion = (ring.dim == 4 * center)
         return NoncommutativeEndomorphism(ring, center, quaternion)
     d = ring.dim
-    rng = random.Random(0x9C0FFEE)
-    # drawn lazily: most rings stop at the first or second candidate
-    candidates = itertools.chain(
-        ring.basis,
-        (a + b for a, b in itertools.combinations(ring.basis, 2)),
-        (lincomb([rng.randint(-3, 3) for _b in ring.basis], ring.basis)
-         for _ in range(6 * d)))
-    for theta in candidates:
+    for coeffs in primitive_candidates(d):
+        theta = lincomb(coeffs, ring.basis)
         mp = minimal_polynomial(theta)
         if mp.degree() == d:
             if not is_irreducible(mp):
                 raise EndomorphismError("endomorphism ring is not a field "
                                         "(reducible minimal polynomial)")
             return NumberFieldWithInvolution(mp, theta, ring.module)
-    raise EndomorphismError("no primitive element found; enlarge the budget")
+    raise EndomorphismError("endomorphism ring is not a field "
+                            "(no primitive element)")
 
 
 def algebra_center(basis: list) -> list:

@@ -255,7 +255,8 @@ def spin_submodule(V: SeifertModule, vectors):
 
 
 def _subquotient(V: SeifertModule, L: QMatrix, A: QMatrix) -> SeifertModule:
-    """The module (L + span A) / L in the basis given by the columns of A.
+    """The module (L + span A) / L in the basis given by the columns of A,
+    over Q: induced maps in a rational basis need not be integral.
 
     [L | A] must have full column rank.  Each structure map m is read off
     one solve of m [L | A] in the basis [L | A]: the A-rows of the L-columns
@@ -269,7 +270,7 @@ def _subquotient(V: SeifertModule, L: QMatrix, A: QMatrix) -> SeifertModule:
         if X is None or any(any(row[:k]) for row in X.data[k:]):
             raise SeifertError("subspace is not invariant")
         maps.append(QMatrix(A.cols, A.cols, [row[k:] for row in X.data[k:]]))
-    return SeifertModule(V.mu, maps[0], maps[1:], V.ring)
+    return SeifertModule(V.mu, maps[0], maps[1:])
 
 
 def submodule_from_basis(V: SeifertModule, basis: QMatrix):
@@ -310,8 +311,6 @@ def quotient_module(V: SeifertModule, incl: SeifertMorphism):
     inv = W.hstack(section).inverse()
     proj = QMatrix(n - k, n, inv.data[k:])
     Qmod = _subquotient(V, W, section)
-    if not Qmod.is_valid():
-        raise SeifertError("quotient by a non-invariant subspace")
     proj_mor = SeifertMorphism(V, Qmod, proj)
     return Qmod, proj_mor, section
 

@@ -14,8 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, factor_int, rat,
-                       rat_str, real_root_data, sign_at_root, squarefree_part)
+from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, factor_int,
+                       minimal_polynomial, rat, rat_str, real_root_data,
+                       sign_at_root, squarefree_part)
 from .seifert import SeifertForm
 from . import endofield
 from .endofield import (EndomorphismError, HermitianFormOverE,
@@ -217,18 +218,12 @@ def _trace_nonzero_multiplier(nf, g: QPoly) -> QPoly:
 
 def _element_minpoly(nf, beta: QPoly) -> QPoly:
     """Minimal polynomial of a field element given as a polynomial in the
-    generator."""
+    generator: that of multiplication by it on the field."""
     d = nf.degree
-    vecs = [[Q1] + [Q0] * (d - 1)]
-    current = QPoly.one()
-    for _k in range(1, d + 1):
-        current = field_mul(nf, current, beta)
-        vecs.append([current.coeff(i) for i in range(d)])
-        A = QMatrix.from_rows(vecs[:-1]).transpose()
-        sol = coordinates(A, QMatrix.column(vecs[-1]))
-        if sol is not None:
-            return QPoly([-c for c in sol.col(0)] + [Q1])
-    raise AssertionError("no minimal polynomial found")
+    images = [field_mul(nf, beta, QPoly([Q0] * j + [Q1])) for j in range(d)]
+    return minimal_polynomial(
+        QMatrix.from_rows([[b.coeff(i) for i in range(d)] for b in images])
+        .transpose())
 
 
 def _in_powers_of(nf, beta: QPoly, f: int, xi: QPoly) -> QPoly:
@@ -250,17 +245,12 @@ def _fixed_field_primitive(nf) -> tuple:
     """(beta, its minimal polynomial) for the fixed field of the involution."""
     f = nf.fixed_field_degree
     basis = endofield.fixed_field_basis(nf)
-    candidates = list(basis)
-    candidates += [a + b for a, b in itertools.combinations(basis, 2)]
-    for w in range(2, 6):
-        candidates += [a + w * b for a, b in
-                       itertools.combinations(basis, 2)]
-    for beta in candidates:
-        beta = field_reduce(nf, beta)
+    for coeffs in endofield.primitive_candidates(f):
+        beta = field_reduce(nf, sum((c * b for c, b in zip(coeffs, basis)),
+                                    QPoly.zero()))
         mp = _element_minpoly(nf, beta)
         if mp.degree() == f:
             return beta, mp
-    raise EndomorphismError("no primitive element of the fixed field found")
 
 
 def signatures(h: HermitianFormOverE, diag=None) -> list:
@@ -391,9 +381,11 @@ class PieceReport:
             return True
         if self.discriminant and self.discriminant.get("trivial") is False:
             return True
-        if self.hasse:
-            return True
-        return False
+        # even rank 2m, zero signatures and trivial discriminant: Witt-trivial
+        # exactly when c_v is that of m hyperbolic planes, (-1,-1)_v^(m(m-1)/2)
+        m = self.multiplicity // 2
+        hyperbolic = [(2, -1), ("inf", -1)] if m * (m - 1) // 2 % 2 else []
+        return self.hasse is not None and self.hasse != hyperbolic
 
 
 @dataclass

@@ -50,6 +50,22 @@ def worked_example_simple_form() -> SeifertForm:
     return SeifertForm(worked_example_simple(), -1, phi)
 
 
+def knot_form(rng: random.Random, genus: int) -> SeifertForm:
+    """Levine knot form: Seifert matrix A = S + N with S symmetric and
+    A - A^T = J, phi = J, s = J^-1 A = -J A."""
+    n = 2 * genus
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = rng.randint(-2, 2)
+    upper = QMatrix(n, n, [[int(j == i + genus) for j in range(n)]
+                           for i in range(n)])
+    J = upper - upper.transpose()
+    V = SeifertModule.from_blocks(1, -(J * (QMatrix(n, n, sym) + upper)),
+                                  [n])
+    return SeifertForm(V, -1, J)
+
+
 def random_block_sizes(rng: random.Random, mu: int, dim: int) -> list:
     cuts = sorted(rng.randint(0, dim) for _ in range(mu - 1))
     sizes = []

@@ -304,3 +304,26 @@ def test_isotropic_search_certificate_is_that_of_is_simple(monkeypatch):
             kinds.append(cert.kind)
     assert "dimension-1" in kinds
     assert kinds.count("norton") >= 10
+
+
+def test_semisimple_witness_on_a_split_commutative_ring():
+    # End(V) is the diagonal algebra Q^3, commutative but not a field: the
+    # first candidate with a reducible minimal polynomial exhibits a proper
+    # submodule
+    from fractions import Fraction
+    from linkwitt.devissage import _semisimple_witness
+    s = QMatrix(3, 3, [[Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0],
+                       [0, 0, Fraction(1, 5)]])
+    V = SeifertModule.from_blocks(1, s, [3])
+    ok, incl = _semisimple_witness(V)
+    assert ok is False
+    assert incl.target == V and 0 < incl.matrix.cols < 3
+    assert incl.intertwines()
+
+
+def test_semisimple_witness_certifies_a_field():
+    from linkwitt.devissage import _semisimple_witness
+    ok, cert = _semisimple_witness(worked_example_simple())
+    assert ok is True and cert.kind == "schur-field"
+    assert cert.detail["end_dim"] == 2
+    assert cert.detail["minpoly"].degree() == 2

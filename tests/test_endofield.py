@@ -282,3 +282,68 @@ def test_conic_solver_finds_isotropic_vectors():
             z, x, y = sol
             assert z * z == a * x * x + b * y * y
             assert (x, y, z) != (0, 0, 0)
+
+
+def test_primitive_candidates_basis_then_moment_curve():
+    from linkwitt.endofield import primitive_candidates
+    for k in range(1, 7):
+        cands = list(primitive_candidates(k))
+        assert len(cands) == k + k * (k - 1) ** 2 // 2 + 1
+        assert cands[:k] == [[int(i == j) for j in range(k)]
+                             for i in range(k)]
+        assert cands[k:] == [[c ** j for j in range(k)]
+                             for c in range(1, len(cands) - k + 1)]
+
+
+def _regular_ring(basis_products, dim):
+    # EndomorphismRing on the regular representation: basis_products(i, j)
+    # = (coefficient, index) of basis_i * basis_j, basis_0 the unit
+    def coords(i, j):
+        c, t = basis_products(i, j)
+        return [c if r == t else 0 for r in range(dim)]
+    basis = [QMatrix(dim, dim, [[coords(i, j)[r] for j in range(dim)]
+                                for r in range(dim)]) for i in range(dim)]
+    structure = [[QMatrix.column(coords(i, j)) for j in range(dim)]
+                 for i in range(dim)]
+    V = SeifertModule.from_blocks(1, QMatrix.zeros(dim, dim), [dim])
+    return EndomorphismRing(V, basis, structure)
+
+
+def test_as_number_field_reaches_the_moment_curve(monkeypatch):
+    # Q(sqrt2, sqrt3, sqrt5) on the basis sqrt(d), d | 30: every basis
+    # element has degree <= 2, the sum of the basis (c = 1) has degree 8
+    import math
+    import linkwitt.endofield as ef
+    from linkwitt.rational import lincomb
+    ds = [1, 2, 3, 5, 6, 10, 15, 30]
+
+    def product(i, j):
+        g = math.gcd(ds[i], ds[j])
+        return g, ds.index(ds[i] * ds[j] // (g * g))
+
+    ring = _regular_ring(product, 8)
+    assert ring.is_commutative()
+    calls = []
+    minimal_polynomial = ef.minimal_polynomial
+
+    def counted(m):
+        calls.append(m)
+        return minimal_polynomial(m)
+
+    monkeypatch.setattr(ef, "minimal_polynomial", counted)
+    nf = as_number_field(ring)
+    monkeypatch.undo()
+    assert nf.degree == 8 and len(calls) == 9
+    assert nf.embedding == lincomb([1] * 8, ring.basis)
+
+
+def test_as_number_field_without_primitive_element():
+    # Q[x, y]/(x, y)^2 is commutative and every element has degree <= 2:
+    # exhausting the candidates proves that the ring is not a field
+    def product(i, j):
+        if i == 0 or j == 0:
+            return 1, i + j
+        return 0, 0
+
+    with pytest.raises(EndomorphismError, match="not a field"):
+        as_number_field(_regular_ring(product, 3))

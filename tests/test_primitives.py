@@ -257,3 +257,17 @@ def test_integral_module_with_fractional_layer():
     assert filtration == ["s=0 layer of dim 1"]
     assert incl.matrix == QMatrix(3, 1, [[1], ["-1/4"], ["-1/4"]])
     assert min_coprimitive(V).matrix == min_coprimitive(V.promote()).matrix
+
+
+def test_integral_module_composition_series_and_hom_in_quotient():
+    # the quotients of this ring "Z" module have no integral matrices in
+    # the standard section; they are built over Q, as for V.promote()
+    from linkwitt.devissage import composition_series
+    s = QMatrix(3, 3, [[0, -1, 1], [1, 2, 2], [0, 1, -1]])
+    V = SeifertModule.from_blocks(1, s, [3], ring="Z")
+    VQ = V.promote()
+    series = [(incl.matrix, simple) for incl, simple in composition_series(V)]
+    assert series == [(incl.matrix, simple)
+                      for incl, simple in composition_series(VQ)]
+    assert len(series) == 2
+    assert hom_in_quotient(V, V) == hom_in_quotient(VQ, VQ)

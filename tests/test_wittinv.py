@@ -411,3 +411,97 @@ def test_signatures_add_on_orthogonal_sums():
     s1 = [s for _, s in r1.pieces[0].signatures]
     s3 = [s for _, s in r3.pieces[0].signatures]
     assert [3 * x for x in s1] == s3
+
+
+def _diagonal_form_at_one_half(entries) -> SeifertForm:
+    # s = 1/2 I with mu = 1: every symmetric form is compatible, End = Q
+    n = len(entries)
+    V = SeifertModule.from_blocks(1, QMatrix.identity(n).scale(Fraction(1, 2)),
+                                  [n])
+    return SeifertForm(V, 1, QMatrix(n, n, [[entries[i] if i == j else 0
+                                             for j in range(n)]
+                                            for i in range(n)]))
+
+
+def test_hasse_of_two_hyperbolic_planes_is_witt_trivial():
+    # <1,1,-2,-2> = 2H: c_2 = c_inf = -1, the value of two hyperbolic planes
+    rep = analyze_form(_diagonal_form_at_one_half([1, 1, -2, -2]))
+    assert [p.hasse for p in rep.pieces] == [[(2, -1), ("inf", -1)]]
+    assert rep.verdict == "witt-trivial"
+
+
+def test_hasse_of_anisotropic_form_is_nontrivial():
+    # <1,1,-3,-3> has rank 4, signature 0 and square discriminant, but is
+    # anisotropic: c_v = -1 at {3, inf} differs from 2H's {2, inf}
+    rep = analyze_form(_diagonal_form_at_one_half([1, 1, -3, -3]))
+    assert [p.hasse for p in rep.pieces] == [[(3, -1), ("inf", -1)]]
+    assert rep.verdict == "nontrivial"
+
+
+def _powers_minpoly(nf, beta):
+    # reference: the first linear dependence among 1, beta, beta^2, ...
+    from linkwitt.rational import coordinates
+    from linkwitt.endofield import field_mul
+    d = nf.degree
+    vecs = [[rat(1)] + [rat(0)] * (d - 1)]
+    current = QPoly.one()
+    for _k in range(1, d + 1):
+        current = field_mul(nf, current, beta)
+        vecs.append([current.coeff(i) for i in range(d)])
+        sol = coordinates(QMatrix.from_rows(vecs[:-1]).transpose(),
+                          QMatrix.column(vecs[-1]))
+        if sol is not None:
+            return QPoly([-c for c in sol.col(0)] + [1])
+
+
+def test_element_minpoly_against_powers():
+    from linkwitt.rational import is_irreducible
+    from linkwitt.wittinv import _element_minpoly
+    rng = random.Random(0xE1E)
+    V = SeifertModule.from_blocks(1, QMatrix.zeros(1, 1), [1])
+    checked = 0
+    while checked < 300:
+        d = rng.randint(1, 6)
+        minpoly = QPoly([rng.randint(-3, 3) for _ in range(d)] + [1])
+        if not is_irreducible(minpoly):
+            continue
+        nf = NumberFieldWithInvolution(minpoly, QMatrix.identity(1), V)
+        for _ in range(5):
+            beta = QPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(d)])
+            assert _element_minpoly(nf, beta) == _powers_minpoly(nf, beta)
+            checked += 1
+
+
+def test_fixed_field_primitive_keeps_the_former_choice():
+    # the former search: the basis, pairwise sums, then a + w b, w = 2..5
+    from linkwitt.endofield import field_reduce, fixed_field_basis
+    from linkwitt.devissage import witt_reduce
+    from linkwitt.wittinv import _fixed_field_primitive
+    from support import knot_form
+
+    def former(nf):
+        basis = fixed_field_basis(nf)
+        pairs = list(itertools.combinations(basis, 2))
+        candidates = basis + [a + b for a, b in pairs]
+        for w in range(2, 6):
+            candidates += [a + b * w for a, b in pairs]
+        for beta in candidates:
+            beta = field_reduce(nf, beta)
+            mp = _powers_minpoly(nf, beta)
+            if mp.degree() == nf.fixed_field_degree:
+                return beta, mp
+
+    rng = random.Random(0xF1F)
+    compared = 0
+    for _ in range(20):
+        for group in witt_reduce(knot_form(rng, 2)).groups:
+            f = group.forms[0]
+            b = SeifertForm(group.module, f.zeta, f.phi.scale(f.zeta))
+            nf = as_number_field(endomorphism_ring(group.module,
+                                                   assume_simple=True))
+            nf = involution_from_form(nf, b)
+            if nf.fixed_field_degree > 1:
+                assert _fixed_field_primitive(nf) == former(nf)
+                compared += 1
+    assert compared >= 10
