@@ -12,7 +12,8 @@ canonical JSON (or text derived from it) and are byte-identical under fixed
 Exit codes: 0 ok, 2 schema error, 3 invariant violation in the input,
 4 unsupported (quaternionic endomorphism ring) with a partial report,
 5 undecided (the reduction could not certify simplicity or build an
-endomorphism field; no report).
+endomorphism field; no report), 6 internal error (a failed internal
+consistency check; no report).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_SCHEMA = 2
 EXIT_INVALID = 3
 EXIT_UNSUPPORTED = 4
 EXIT_UNDECIDED = 5
+EXIT_INTERNAL = 6
 
 
 class SchemaError(ValueError):
@@ -227,10 +229,6 @@ def run_cobordant(args) -> int:
 
 def run_cover(args) -> int:
     module, form = load_input(args.input)
-    err = module.validate()
-    if err is not None:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_INVALID
     degree = args.degree
     pres = cover_presentation(module)
     sigma = [[e.serialize() for e in row] for row in pres.entries]
@@ -264,10 +262,6 @@ def run_cover(args) -> int:
 
 def run_primitive(args) -> int:
     module, _form = load_input(args.input)
-    err = module.validate()
-    if err is not None:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_INVALID
     analysis = analyze_primitives(module)
     doc = {
         "input": {"mu": module.mu, "dim": module.dim, "ring": module.ring},
@@ -343,6 +337,9 @@ def main(argv=None) -> int:
     except (SimplicityUndecided, EndomorphismError) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

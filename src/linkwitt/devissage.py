@@ -541,19 +541,21 @@ def _group_sort_key(gr: IsotypicGroup):
 def _cancel_hyperbolic_pairs(gr: IsotypicGroup, log) -> IsotypicGroup:
     """Remove pairs of forms whose orthogonal sum is metabolic.  Exact
     negatives always cancel; otherwise the decision goes through the
-    endomorphism field when its class group is decidable."""
-    forms = list(gr.forms)
+    endomorphism field when its class group is decidable.  A cancelled
+    form leaves together with its witness."""
+    pairs = list(zip(gr.forms, gr.witnesses))   # each form with its witness
     changed = True
     while changed:
         changed = False
-        for i, j in itertools.combinations(range(len(forms)), 2):
-            if _pair_cancels(gr.module, forms[i], forms[j]):
+        for i, j in itertools.combinations(range(len(pairs)), 2):
+            if _pair_cancels(gr.module, pairs[i][0], pairs[j][0]):
                 log.append(f"cancel hyperbolic pair on dim-{gr.module.dim} "
                            f"simple (indices {i}, {j})")
-                forms = [x for t, x in enumerate(forms) if t not in (i, j)]
+                del pairs[j], pairs[i]
                 changed = True
                 break
-    return IsotypicGroup(gr.module, forms, gr.witnesses, gr.certificate)
+    return IsotypicGroup(gr.module, [f for f, _ in pairs],
+                         [w for _, w in pairs], gr.certificate)
 
 
 def _pair_cancels(module: SeifertModule, f1: SeifertForm,
@@ -575,11 +577,12 @@ def _pair_cancels(module: SeifertModule, f1: SeifertForm,
     # against b = zeta f1, f1 transports to 1: the pair cancels when -g2 is
     # a norm
     g2 = endofield.transported_scalar(nf, b, f2)
-    if endofield.is_norm_class_trivial(nf, endofield.field_neg(nf, g2)):
-        return True
-    # bounded search for an explicit isometry u with u^T f2 u = -f1; a hit
-    # exhibits the diagonal-type lagrangian even when the class computation
-    # is undecidable
+    norm = endofield.norm_class(nf, endofield.field_neg(nf, g2))
+    if norm is not None:
+        return norm
+    # undecided: bounded search for an explicit isometry u with
+    # u^T f2 u = -f1 (which would make -g2 a norm); a hit exhibits the
+    # diagonal-type lagrangian
     target = -f1.phi
     basis = ring.basis
     rng = random.Random(0xCA4CE1)

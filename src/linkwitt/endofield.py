@@ -1,13 +1,15 @@
-"""Endomorphism rings of simple Seifert modules and hermitian Morita
-transport.
+"""Endomorphism rings of simple Seifert modules, hermitian Morita
+transport and norm classes.
 
 The endomorphism ring of a simple module over Q is a division algebra of
-finite rational dimension.  Commutative rings are presented as number fields
-by a primitive element; a nonsingular form b induces the involution
-f -> b^{-1} f^T b, expressed as a polynomial in the primitive element.
-Transporting an isotypic family of forms along Hom(M, -) yields a hermitian
-matrix over the endomorphism field, on which the classical Witt invariants
-are computed downstream.
+finite rational dimension, read off `hom_space` with the identity first.
+Commutative rings are presented as number fields by a primitive element; a
+nonsingular form b induces the involution f -> b^{-1} f^T b, expressed as a
+polynomial in the primitive element.  Transporting an isotypic family of
+forms along Hom(M, -) yields a hermitian matrix over the endomorphism field,
+on which the classical Witt invariants are computed downstream.
+`norm_class` is the one decision whether a field element is a norm (a
+square for the trivial involution): proven yes, proven no, or undecided.
 
 Noncommutative endomorphism rings are detected and classified for reporting;
 transport refuses them with a distinguished error so that no wrong numbers
@@ -35,7 +37,9 @@ class EndomorphismError(ValueError):
 class EndomorphismRing:
     module: SeifertModule
     basis: list                     # QMatrix basis, basis[0] = identity
-    structure: list                 # structure[i][j] = coords of basis_i*basis_j
+    # structure constants are never computed (nothing reads them); the
+    # field stays for callers that pass it positionally
+    structure: list | None = None
 
     @property
     def dim(self) -> int:
@@ -48,10 +52,12 @@ class EndomorphismRing:
 
 def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
                       ) -> EndomorphismRing:
-    """Basis and structure constants of End(M) for a simple module M.
+    """Basis of End(M) for a simple module M, the identity first.
 
-    Rejects inputs whose endomorphism ring visibly contains zero divisors
-    (e.g. M + M); full simplicity certification is the caller's business.
+    Hom(M, M) is closed under composition, so no structure constants are
+    formed.  Rejects inputs whose endomorphism ring visibly contains zero
+    divisors (e.g. M + M); full simplicity certification is the caller's
+    business.
     """
     if M.dim == 0:
         raise EndomorphismError("zero module")
@@ -64,25 +70,13 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
     reordered = _basis_with_identity_first(basis, ident)
     if len(reordered) != len(basis):
         raise EndomorphismError("identity not in the endomorphism ring")
-    basis = reordered
-    products = span_coordinates(basis, [a * b for a in basis for b in basis])
-    if products is None:
-        raise EndomorphismError("endomorphism ring not closed "
-                                "under composition")
-    k = len(basis)
-    structure = [[products.col(i * k + j) for j in range(k)]
-                 for i in range(k)]
-    ring = EndomorphismRing(M, basis, structure)
     if not assume_simple:
-        for b in basis:
-            if b == ident:
-                continue
-            q = minimal_polynomial(b)
-            _, factors = factor_rational_poly(q)
+        for b in reordered[1:]:
+            _, factors = factor_rational_poly(minimal_polynomial(b))
             if len(factors) > 1 or factors[0][1] > 1:
                 raise EndomorphismError("not simple: endomorphism with "
                                         "reducible minimal polynomial")
-    return ring
+    return EndomorphismRing(M, reordered)
 
 
 def _basis_with_identity_first(basis: list, ident: QMatrix) -> list:
@@ -358,7 +352,7 @@ def classify_noncommutative(nc: NoncommutativeEndomorphism,
 
 
 # ---------------------------------------------------------------------------
-# norm classes (used by the hyperbolic-pair cancellation)
+# norm classes (the discriminant and the hyperbolic-pair cancellation)
 # ---------------------------------------------------------------------------
 
 def relative_discriminant(nf: NumberFieldWithInvolution) -> QPoly:
@@ -368,26 +362,23 @@ def relative_discriminant(nf: NumberFieldWithInvolution) -> QPoly:
     return field_mul(nf, gamma, gamma)
 
 
-def is_norm_class_trivial(nf: NumberFieldWithInvolution, d: QPoly) -> bool:
-    """Certified test of d in {c * conj(c)}; returns False when undecidable
-    (never cancels in that case)."""
+def norm_class(nf: NumberFieldWithInvolution, d: QPoly) -> bool | None:
+    """Is d a norm c * conj(c): a square for the trivial involution?  True
+    or False when proven, None when undecided (square classes of a field
+    larger than Q, norm classes over a fixed field larger than Q)."""
     d = field_reduce(nf, d)
     if d.is_zero():
         raise EndomorphismError("zero discriminant")
     if nf.involution_image is None or nf.involution_is_trivial():
         if nf.degree == 1:
             return squarefree_part(d.coeff(0)) == 1
-        return False    # square classes of a larger field: undecided here
+        return None
     if field_conj(nf, d) != d:
-        return False
-    if nf.fixed_field_degree == 1:
-        # Fix = Q: d is a rational constant, E = Q(sqrt(m))
-        if d.degree() != 0:
-            return False
-        delta = relative_discriminant(nf)
-        if delta.degree() != 0:
-            return False
-        from .wittinv import norm_class_test_quadratic
-        m = squarefree_part(delta.coeff(0))
-        return norm_class_test_quadratic(d.coeff(0), m)
-    return False
+        return False    # norms are fixed by the involution
+    if nf.fixed_field_degree != 1:
+        return None
+    # Fix = Q: d and delta are rational, E = Q(sqrt(delta)) with delta not
+    # a square
+    from .wittinv import norm_class_test_quadratic
+    m = squarefree_part(relative_discriminant(nf).coeff(0))
+    return norm_class_test_quadratic(d.coeff(0), m)

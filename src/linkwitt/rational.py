@@ -597,18 +597,24 @@ class QPoly:
 
 
 def minimal_polynomial(M: QMatrix) -> QPoly:
-    """Monic minimal polynomial, by Krylov iteration from each basis vector
-    and lcm of the per-vector annihilators."""
+    """Monic minimal polynomial: the lcm of the annihilators of the Krylov
+    chains from the basis vectors, skipping each basis vector that the
+    running lcm already annihilates (a Horner check with matrix-vector
+    products) and stopping once the lcm has degree n."""
     if not M.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = M.rows
-    if n == 0:
-        return QPoly.one()
     result = QPoly.one()
-    space = RowSpace(n)   # union of Krylov spaces handled so far
     for start in range(n):
+        if result.degree() == n:
+            break
         e = [Q1 if i == start else Q0 for i in range(n)]
-        if space.contains(e):
+        # result(M) e, by Horner (result is monic)
+        vec = e
+        for c in reversed(result.coeffs[:-1]):
+            vec = M.apply(vec)
+            vec[start] += c
+        if not any(vec):
             continue
         # Krylov chain from e until the first linear dependence
         chain = RowSpace(n)
@@ -619,14 +625,9 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
             powers.append(vec)
         A = QMatrix.from_rows(powers[:-1]).transpose()
         sol = coordinates(A, QMatrix.column(powers[-1]))
-        assert sol is not None
         ann = QPoly([-c for c in sol.col(0)] + [Q1])
         result = _poly_lcm(result, ann)
-        for p in powers[:-1]:
-            space.add(p)
-        if space.dim() == n and result.degree() == n:
-            break
-    return result.monic()
+    return result
 
 
 def _poly_lcm(a: QPoly, b: QPoly) -> QPoly:

@@ -445,7 +445,10 @@ _ISO_RNG_SEED = 0x15031991
 def find_isomorphism(V: SeifertModule, W: SeifertModule):
     """An isomorphism V -> W, or None.
 
-    Search order: hom-basis elements, then deterministic pseudo-random
+    Between simple modules (every piece of the Witt reduction) the first
+    hom-basis element is the isomorphism, or the hom space is empty: by
+    Schur's lemma every nonzero hom is invertible.  In general the search
+    order is: hom-basis elements, then deterministic pseudo-random
     rational combinations, finally an exact vanishing test of the determinant
     of a generic combination on an integer grid (a polynomial of total degree
     dim vanishing on {0..dim}^k vanishes identically).  Modules whose hom

@@ -3,9 +3,10 @@ involution: rank mod 2, signatures at the relevant real places, discriminant
 class, and the Hasse-Witt invariant over Q.
 
 Signs of real algebraic numbers are determined exactly through Sturm
-isolation and rational interval arithmetic; square classes are decided by
-squarefree normalization, norm classes of quadratic extensions by a finite
-Hilbert-symbol criterion.
+isolation and rational interval arithmetic.  Discriminant classes are
+decided by `endofield.norm_class`: square classes over Q by squarefree
+normalization, norm classes of quadratic extensions of Q by a finite
+Hilbert-symbol criterion (`norm_class_test_quadratic`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, factor_int,
 from .seifert import SeifertForm
 from . import endofield
 from .endofield import (EndomorphismError, HermitianFormOverE,
-                        NoncommutativeEndomorphism, NumberFieldWithInvolution,
-                        field_conj, field_inv, field_mul, field_reduce)
+                        NoncommutativeEndomorphism, field_conj, field_inv,
+                        field_mul, field_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,8 @@ def _signatures_nontrivial(nf, diag) -> list:
 # ---------------------------------------------------------------------------
 
 def discriminant_class(h: HermitianFormOverE, diag=None) -> dict:
-    """Representative (-1)^{m(m-1)/2} prod d_i plus an equality test where a
-    finite decision procedure exists (Fix = Q)."""
+    """Representative (-1)^{m(m-1)/2} prod d_i and its class, decided by
+    `endofield.norm_class` where a finite procedure exists (Q, Fix = Q)."""
     nf = h.field
     if diag is None:
         diag, _ = diagonalize(h)
@@ -329,30 +330,15 @@ def discriminant_class(h: HermitianFormOverE, diag=None) -> dict:
         rep = field_mul(nf, rep, d)
     if (m * (m - 1) // 2) % 2:
         rep = -rep
-    trivial_involution = (nf.involution_image is None
-                          or nf.involution_is_trivial())
-    if trivial_involution:
-        if nf.degree == 1:
-            sqf = squarefree_part(rep.coeff(0)) if m else 1
-            return {"representative": rat_str(Fraction(sqf)),
-                    "group": "square-class", "decidable": True,
-                    "trivial": sqf == 1}
-        return {"representative": rep.format("a", " "),
-                "group": "square-class", "decidable": False, "trivial": None}
-    if nf.fixed_field_degree == 1:
-        delta = endofield.relative_discriminant(nf)
-        m_sqf = squarefree_part(delta.coeff(0))
-        val = rep.coeff(0) if rep.degree() <= 0 else None
-        if val is None:
-            raise AssertionError("discriminant not in the fixed field")
-        if m == 0:
-            return {"representative": "1", "group": "norm-class",
-                    "decidable": True, "trivial": True}
-        return {"representative": rat_str(val), "group": "norm-class",
-                "decidable": True,
-                "trivial": norm_class_test_quadratic(val, m_sqf)}
-    return {"representative": rep.format("a", " "), "group": "norm-class",
-            "decidable": False, "trivial": None}
+    square = nf.involution_image is None or nf.involution_is_trivial()
+    group = "square-class" if square else "norm-class"
+    trivial = endofield.norm_class(nf, rep)
+    if trivial is None:
+        return {"representative": rep.format("a", " "), "group": group,
+                "decidable": False, "trivial": None}
+    val = squarefree_part(rep.coeff(0)) if square else rep.coeff(0)
+    return {"representative": rat_str(val), "group": group,
+            "decidable": True, "trivial": trivial}
 
 
 # ---------------------------------------------------------------------------

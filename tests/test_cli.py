@@ -306,3 +306,20 @@ def test_primitive_report_bytes(capsys, name):
               encoding="utf-8", newline="") as fh:
         assert out == fh.read()
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("command,files", [
+    ("invariants", ["worked_example.json"]),
+    ("cobordant", ["worked_example.json", "zero_form.json"]),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, command, files):
+    # a failed internal check (the Hilbert product formula, a degenerate
+    # trace form) ends in one stderr line and exit 6, not a traceback
+    def broken(form, seed=0):
+        raise AssertionError("Hilbert product formula violated")
+
+    monkeypatch.setattr("linkwitt.cli.analyze_form", broken)
+    code, out, err = _run(capsys, command, *[_path(f) for f in files])
+    assert code == 6
+    assert out == ""
+    assert err == "internal error: Hilbert product formula violated\n"

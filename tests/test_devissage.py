@@ -327,3 +327,51 @@ def test_semisimple_witness_certifies_a_field():
     assert ok is True and cert.kind == "schur-field"
     assert cert.detail["end_dim"] == 2
     assert cert.detail["minpoly"].degree() == 2
+
+
+def test_cancelled_forms_take_their_witnesses_along():
+    from linkwitt.devissage import IsotypicGroup, _cancel_hyperbolic_pairs
+    from linkwitt.seifert import SeifertMorphism
+    f = worked_example_simple_form()
+    M = f.module
+    witnesses = [SeifertMorphism(M, M, QMatrix.identity(M.dim).scale(c),
+                                 check=False) for c in (1, 2, 3)]
+    group = IsotypicGroup(M, [f, f.negate(), f], witnesses)
+    log = []
+    out = _cancel_hyperbolic_pairs(group, log)
+    assert log == ["cancel hyperbolic pair on dim-4 simple (indices 0, 1)"]
+    assert out.forms == [f]
+    assert out.witnesses == [witnesses[2]]
+
+
+def test_witt_reduce_never_reaches_the_isomorphism_search(monkeypatch):
+    # between simple modules the first hom-space basis element is an
+    # isomorphism or there is none (Schur), so find_isomorphism never
+    # combines basis elements: neither its random nor its grid phase runs
+    from support import conjugate_form, knot_form
+
+    def unreachable(*args):
+        raise AssertionError("find_isomorphism searched combinations")
+
+    import linkwitt.devissage as dv
+    calls = []
+
+    def counted(V, W):
+        calls.append((V, W))
+        return find_isomorphism(V, W)
+
+    monkeypatch.setattr("linkwitt.seifert.lincomb", unreachable)
+    monkeypatch.setattr(dv, "find_isomorphism", counted)
+    rng = random.Random(1129)
+    cases = [worked_example_form().direct_sum(worked_example_form())]
+    for _ in range(8):
+        mu, zeta = rng.randint(1, 3), rng.choice([1, -1])
+        f = random_form(rng, mu, rng.randint(2, 4), zeta)
+        cases.append(f.direct_sum(conjugate_form(rng, f).negate()))
+        cases.append(f.direct_sum(conjugate_form(rng, f)))
+    for _ in range(2):
+        g = knot_form(rng, 2)
+        cases.append(g.direct_sum(conjugate_form(rng, g)))
+    for f in cases:
+        witt_reduce(f)
+    assert len(calls) >= 15

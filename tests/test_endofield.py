@@ -347,3 +347,135 @@ def test_as_number_field_without_primitive_element():
 
     with pytest.raises(EndomorphismError, match="not a field"):
         as_number_field(_regular_ring(product, 3))
+
+
+def _knot_piece_field(seed):
+    # the endomorphism field with involution of the simple piece of a
+    # genus-2 knot form, built as the invariant report builds it
+    from linkwitt.devissage import witt_reduce
+    from support import knot_form
+    group = witt_reduce(knot_form(random.Random(seed), 2)).groups[0]
+    zeta = group.forms[0].zeta
+    b = SeifertForm(group.module, zeta, group.forms[0].phi.scale(zeta))
+    nf = as_number_field(endomorphism_ring(group.module, assume_simple=True))
+    return involution_from_form(nf, b)
+
+
+def test_endomorphism_ring_solves_for_no_structure_constants(monkeypatch):
+    # Hom(M, M) is closed under composition, so no basis products are
+    # formed and no coordinates are solved for
+    import linkwitt.endofield as ef
+    from linkwitt.devissage import witt_reduce
+    from support import knot_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("span_coordinates called")
+
+    modules = [worked_example_simple()]
+    modules += [witt_reduce(knot_form(random.Random(seed), 2)).groups[0].module
+                for seed in (0, 1)]
+    monkeypatch.setattr(ef, "span_coordinates", counted)
+    for M in modules:
+        ring = ef.endomorphism_ring(M, assume_simple=True)
+        assert ring.structure is None
+        assert ring.basis[0] == QMatrix.identity(M.dim)
+    assert calls == []
+
+
+def _former_norm_decisions(nf, d):
+    """The two decisions norm_class replaces, rebuilt: the boolean of the
+    pair cancellation (False also when undecided) and the discriminant's
+    (None when undecided; d fixed by the involution)."""
+    from linkwitt.rational import squarefree_part
+    from linkwitt.endofield import relative_discriminant
+    from linkwitt.wittinv import norm_class_test_quadratic
+    d = d % nf.minpoly
+    trivial = nf.involution_image is None or nf.involution_is_trivial()
+    if trivial:
+        found = (squarefree_part(d.coeff(0)) == 1 if nf.degree == 1
+                 else None)
+        return bool(found), found
+    delta = relative_discriminant(nf)
+    if field_conj(nf, d) != d:
+        return False, "not fixed"
+    if nf.fixed_field_degree == 1:
+        if d.degree() != 0 or delta.degree() != 0:
+            return False, "not rational"
+        m = squarefree_part(delta.coeff(0))
+        found = norm_class_test_quadratic(d.coeff(0), m)
+        return found, found
+    return False, None
+
+
+def test_norm_class_agrees_with_both_former_decisions():
+    from linkwitt.endofield import norm_class
+    from linkwitt.rational import QPoly
+    rng = random.Random(2024)
+
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 60),
+                        rng.randint(1, 12))
+
+    line = SeifertModule.from_blocks(1, QMatrix(1, 1, [["1/2"]]), [1])
+    fields = [_rational_field_on(line)]
+    # Q(sqrt m) with conj(x) = -x: Fix = Q
+    for m in (-1, -2, -3, -5, -7, 2, 3, 5, 6, -6, 10, -15):
+        fields.append(_quadratic_field(m, QPoly([0, -1]), 1))
+    # Q(sqrt m) with the trivial involution: square classes undecided
+    for m in (-1, 2, -3):
+        fields.append(_quadratic_field(m, QPoly([0, 1]), 2))
+    # the worked-example simple: Q(zeta_6) with its form's involution
+    f = worked_example_simple_form()
+    fields.append(involution_from_form(
+        as_number_field(endomorphism_ring(f.module)),
+        SeifertForm(f.module, f.zeta, f.phi.scale(f.zeta))))
+    decided = 0
+    for nf in fields:
+        for _ in range(25):
+            d = QPoly([rational()])
+            found = norm_class(nf, d)
+            as_bool, as_disc = _former_norm_decisions(nf, d)
+            assert found == as_disc
+            assert (found is True) == as_bool
+            decided += found is not None
+            if nf.degree == 2:
+                # an element the involution moves is proven not a norm
+                moved = QPoly([rational(), rational()])
+                found = norm_class(nf, moved)
+                as_bool, as_disc = _former_norm_decisions(nf, moved)
+                assert as_bool is False
+                if as_disc == "not fixed":
+                    assert found is False
+                else:
+                    assert found == as_disc
+    assert decided > 300
+
+
+def _rational_field_on(V):
+    from linkwitt.endofield import NumberFieldWithInvolution
+    from linkwitt.rational import QPoly
+    return NumberFieldWithInvolution(QPoly([-1, 1]), QMatrix.identity(1), V,
+                                     QPoly([1]), 1)
+
+
+def _quadratic_field(m, image, fixed_degree):
+    from linkwitt.endofield import NumberFieldWithInvolution
+    from linkwitt.rational import QPoly
+    alpha = QMatrix(2, 2, [[0, m], [1, 0]])
+    V = SeifertModule.from_blocks(1, alpha, [2])
+    return NumberFieldWithInvolution(QPoly([-m, 0, 1]), alpha, V, image,
+                                     fixed_degree)
+
+
+def test_norm_class_undecided_over_a_degree_four_knot_field():
+    from linkwitt.endofield import fixed_field_basis, norm_class
+    from linkwitt.rational import QPoly
+    for seed in (0, 1):
+        nf = _knot_piece_field(seed)
+        assert (nf.degree, nf.fixed_field_degree) == (4, 2)
+        for d in fixed_field_basis(nf) + [QPoly.one()]:
+            assert norm_class(nf, d) is None
+        # an element the involution moves is proven not a norm
+        assert norm_class(nf, QPoly.x()) is False

@@ -366,3 +366,99 @@ def test_refined_interval_keeps_its_sign_change_when_midpoints_are_roots():
                                      Fraction(1, 100))
     assert b - a <= Fraction(1, 100)
     assert p.eval(a) * p.eval(b) < 0
+
+
+def _minpoly_by_linear_dependence(M):
+    # the least k with I, M, ..., M^k linearly dependent, by elimination on
+    # the flattened powers with plain Fractions
+    n = M.rows
+    flat = [[Fraction(x) for row in QMatrix.identity(n).data for x in row]]
+    power = QMatrix.identity(n)
+    while True:
+        power = power * M
+        target = [Fraction(x) for row in power.data for x in row]
+        k = len(flat)
+        # solve sum_j c_j flat[j] = target
+        rows = [[flat[j][i] for j in range(k)] + [target[i]]
+                for i in range(n * n)]
+        piv_cols, r = [], 0
+        for c in range(k):
+            p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if p is None:
+                continue
+            rows[r], rows[p] = rows[p], rows[r]
+            rows[r] = [x / rows[r][c] for x in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c]:
+                    rows[i] = [x - rows[i][c] * y
+                               for x, y in zip(rows[i], rows[r])]
+            piv_cols.append(c)
+            r += 1
+        if all(not row[-1] for row in rows[r:]):
+            coeffs = [Fraction(0)] * k
+            for i, c in enumerate(piv_cols):
+                coeffs[c] = rows[i][-1]
+            return QPoly([-c for c in coeffs] + [1])
+        flat.append(target)
+
+
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    data = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                data[at + i][at + j] = b.data[i][j]
+        at += b.rows
+    return QMatrix(n, n, data)
+
+
+def _jordan(lam, k):
+    return QMatrix(k, k, [[lam if i == j else 1 if j == i + 1 else 0
+                           for j in range(k)] for i in range(k)])
+
+
+def test_minimal_polynomial_of_non_cyclic_matrices():
+    # the lcm stops at the start vectors the running lcm annihilates; on
+    # matrices whose minimal polynomial has degree < n it must still be
+    # the whole minimal polynomial
+    rng = random.Random(1913)
+    cases = [QMatrix.identity(n).scale(Fraction(c, 3))
+             for n in (1, 2, 4) for c in (-2, 0, 5)]
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        B = QMatrix(k, k, [[rng.randint(-3, 3) for _ in range(k)]
+                           for _ in range(k)])
+        C = QMatrix(1, 1, [[rng.randint(-3, 3)]])
+        cases.append(_block_diagonal([B, B]))
+        cases.append(_block_diagonal([B, C, B]))
+    cases += [_block_diagonal([_jordan(2, 3), _jordan(2, 1)]),
+              _block_diagonal([_jordan(-1, 2), _jordan(-1, 2)]),
+              _block_diagonal([_jordan(0, 2), _jordan(0, 1), _jordan(3, 1)]),
+              _block_diagonal([_jordan(Fraction(1, 2), 1),
+                               _jordan(Fraction(1, 2), 2),
+                               _jordan(Fraction(1, 2), 1)])]
+    # multiplication by elements of Q(sqrt2), Q(sqrt3) and Q(sqrt6) on
+    # Q(sqrt2, sqrt3) with the basis 1, sqrt2, sqrt3, sqrt6
+    r2 = QMatrix(4, 4, [[0, 2, 0, 0], [1, 0, 0, 0],
+                        [0, 0, 0, 2], [0, 0, 1, 0]])
+    r3 = QMatrix(4, 4, [[0, 0, 3, 0], [0, 0, 0, 3],
+                        [1, 0, 0, 0], [0, 1, 0, 0]])
+    one = QMatrix.identity(4)
+    cases += [r2, r3, r2 * r3, one.scale(2) + r2.scale(3),
+              one - (r2 * r3).scale(Fraction(1, 2))]
+    # the same, scrambled by a base change
+    scrambled = []
+    for M in cases:
+        n = M.rows
+        while True:
+            P = QMatrix(n, n, [[rng.randint(-2, 2) for _ in range(n)]
+                               for _ in range(n)])
+            if P.det() != 0:
+                break
+        scrambled.append(P.inverse() * M * P)
+    for M in cases + scrambled:
+        expected = _minpoly_by_linear_dependence(M)
+        assert expected.degree() < M.rows or M.rows == 1
+        assert minimal_polynomial(M) == expected

@@ -347,3 +347,22 @@ def test_subquotient_requires_invariant_subspaces():
     with pytest.raises(SeifertError, match="not invariant"):
         _subquotient(V, QMatrix.zeros(4, 0), e1)
     assert _subquotient(V, QMatrix.zeros(4, 0), ident) == V
+
+
+def test_endomorphism_basis_is_closed_under_composition():
+    # End(M) = Hom(M, M) is an algebra: every product of two basis elements
+    # lies in the span, which is why endomorphism_ring forms no products
+    import os
+    from linkwitt.cli import load_input
+    from linkwitt.rational import span_coordinates
+    from support import knot_form
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "quaternionic.json")
+    modules = [worked_example_simple(), load_input(path)[0]]
+    rng = random.Random(4711)
+    modules += [knot_form(rng, 2).module for _ in range(10)]
+    for M in modules:
+        basis = hom_space(M, M)
+        assert basis
+        products = [a * b for a in basis for b in basis]
+        assert span_coordinates(basis, products) is not None
