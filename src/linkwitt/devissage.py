@@ -7,17 +7,17 @@ splits off L as an orthogonal summand.  The dichotomy is forced: the radical
 of the restricted form is a submodule of the simple L.  Composition length
 strictly decreases, so the loop terminates.
 
-Simplicity is certified.  The fast path is a MeatAxe-style search: one
-null-space sweep yields ker p(a) for the irreducible factors p of the minimal
-polynomials of sampled algebra elements a; its vectors are spun, and Norton's
-two-sided spin criterion decides when the nullity of p(a) equals deg p.  The
-isotropic search walks the same sweep and stops as soon as Norton certifies
-the module simple; the reduction loop then takes that certificate as is.
-The complete fallback computes the Jacobson radical of the acting algebra
-through the trace form (valid in characteristic zero) and then hunts for
-zero divisors or idempotents in the endomorphism ring; quaternion
-endomorphism algebras over Q are decided exactly by Hilbert symbols on the
-norm form.
+Simplicity is certified.  One MeatAxe walk (`_walk`) spins vectors of
+ker p(a) for the irreducible factors p of the minimal polynomials of
+sampled algebra elements a, and Norton's criterion decides when ker p(a) is
+a line over Q[a]/(p).  `is_simple` takes its first finding, and the
+isotropic search its smallest isotropic spin or its certificate, which the
+reduction loop takes as is.  The complete fallback computes the Jacobson
+radical of the acting algebra through the trace form (valid in
+characteristic zero) and then hunts for zero divisors or idempotents in the
+endomorphism ring; quaternion endomorphism algebras over Q are decided
+exactly by Hilbert symbols on the norm form.  Each isotypic group builds its
+endomorphism field at most once, for its pair cancellation and its report.
 """
 
 from __future__ import annotations
@@ -131,11 +131,9 @@ def _element_stream(V: SeifertModule):
 
 
 def _factor_kernels(V: SeifertModule):
-    """The one null-space sweep of the MeatAxe search, over the first eight
-    sampled algebra elements a: (count, a, kernels) with count the index of
-    a, where kernels yields (p, columns of ker p(a)) for each irreducible
-    factor p of the minimal polynomial of a, each kernel computed only when
-    the caller asks for it."""
+    """(count, a, kernels) for the first eight sampled algebra elements a,
+    kernels lazily yielding (p, columns of ker p(a)) for each irreducible
+    factor p of the minimal polynomial of a."""
     for count, a in enumerate(itertools.islice(_element_stream(V), 8)):
         _, factors = factor_rational_poly(minimal_polynomial(a))
         yield count, a, _kernels(a, factors)
@@ -147,51 +145,70 @@ def _kernels(a: QMatrix, factors: list):
         yield p, [m.col(j) for j in range(m.cols)]
 
 
-def _norton_dual_spin(V: SeifertModule, a: QMatrix, p):
-    """Spin of a vector of ker p(a^T) under the transposed generators.
+def _walk(V: SeifertModule, pairs: bool = False):
+    """The one MeatAxe walk, over `_factor_kernels`: (count, found) per
+    sampled element, `found` lazily yielding ("spin", columns) for a kernel
+    vector that spins to the proper submodule the columns span, ("dual",
+    columns) for the proper annihilator of a failed Norton test, and
+    ("simple", certificate).  A line over Q[a]/(p) (nullity p(a) = deg p)
+    has its first vector spun once: all its nonzero vectors spin to one
+    submodule.  When that is V, Norton (Holt-Rees 1994) decides: V is simple
+    exactly when a vector of ker p(a^T) spins to Q^n under the transposed
+    generators.  Other kernels have each basis vector spun and, with
+    `pairs`, the sums and differences of their first 24 pairs."""
+    if V.dim == 1:
+        yield 0, [("simple", SimpleCertificate("dimension-1"))]
+        return
+    for count, a, kernels in _factor_kernels(V):
+        yield count, _kernel_findings(V, count, a, kernels, pairs)
 
-    Norton's criterion (Holt-Rees 1994): when nullity p(a) = deg p and a
-    vector of ker p(a) spins to Q^n, V is simple exactly when this spin is
-    Q^n too; otherwise its annihilator is a proper nonzero submodule."""
-    gens_t = [g.transpose() for g in V.generators()]
-    w = kernel_columns(p.eval_matrix(a.transpose())).col(0)
-    return spin(gens_t, [w], V.dim)
+
+def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
+                     pairs: bool):
+    n = V.dim
+    gens = V.generators()
+    for p, ker in kernels:
+        if len(ker) == p.degree():
+            spun = spin(gens, ker[:1], n)
+            if spun.dim() == n:
+                w = kernel_columns(p.eval_matrix(a.transpose())).col(0)
+                spun = spin([g.transpose() for g in gens], [w], n)
+                if spun.dim() == n:
+                    yield "simple", SimpleCertificate(
+                        "norton", {"element_index": count, "factor": p})
+                    return
+                yield "dual", kernel_columns(spun.basis_matrix())
+            else:
+                yield "spin", spun.basis_matrix().transpose()
+            continue
+        vectors = list(ker)
+        for i, j in itertools.islice(itertools.combinations(
+                range(len(ker)), 2), 24 if pairs else 0):
+            vectors.append([x + y for x, y in zip(ker[i], ker[j])])
+            vectors.append([x - y for x, y in zip(ker[i], ker[j])])
+        for v in vectors:
+            spun = spin(gens, [v], n)
+            if 0 < spun.dim() < n:
+                yield "spin", spun.basis_matrix().transpose()
 
 
 def is_simple(V: SeifertModule):
     """(True, certificate) or (False, witness inclusion of a proper nonzero
-    submodule)."""
+    submodule): the first finding of the walk, else the complete fallback."""
     n = V.dim
     if n == 0:
         raise SeifertError("zero module")
-    if n == 1:
-        return True, SimpleCertificate("dimension-1")
-    gens = V.generators()
-
-    # fast path: sampled algebra elements, factored minimal polynomials
-    for count, a, kernels in _factor_kernels(V):
-        for p, ker in kernels:
-            # nullity p(a) = deg p: ker p(a) is a line over the field
-            # Q[a]/(p), and all its nonzero vectors spin to one submodule
-            line = len(ker) == p.degree()
-            for v in ker[:1] if line else ker:
-                spun = spin(gens, [v], n)
-                if 0 < spun.dim() < n:
-                    return False, submodule_from_basis(
-                        V, spun.basis_matrix().transpose())[1]
-            if line:
-                spun_t = _norton_dual_spin(V, a, p)
-                if spun_t.dim() == n:
-                    return True, SimpleCertificate(
-                        "norton", {"element_index": count, "factor": p})
-                return False, submodule_from_basis(
-                    V, kernel_columns(spun_t.basis_matrix()))[1]
+    for _count, found in _walk(V):
+        for kind, payload in found:
+            if kind == "simple":
+                return True, payload
+            return False, submodule_from_basis(V, payload)[1]
 
     # complete fallback: algebra radical, then the endomorphism ring
-    basis = algebra_basis(V)
-    rad = algebra_radical(basis)
+    rad = algebra_radical(algebra_basis(V))
     if rad:
-        spun = spin(gens, [m.col(j) for m in rad for j in range(n)], n)
+        spun = spin(V.generators(), [m.col(j) for m in rad for j in range(n)],
+                    n)
         assert 0 < spun.dim() < n
         return False, submodule_from_basis(
             V, spun.basis_matrix().transpose())[1]
@@ -393,6 +410,23 @@ class IsotypicGroup:
     forms: list                           # SeifertForm objects on module
     witnesses: list                       # isomorphisms piece -> representative
     certificate: SimpleCertificate | None = None
+    _end: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    def endomorphism_field(self):
+        """(End(module), its field), built once, on first use: the number
+        field with the involution x -> b^{-1} x^T b of b = zeta f for a form
+        f of the group (the same for all: b' = b u with u in the commutative
+        End(module)), or a NoncommutativeEndomorphism."""
+        if self._end is None:
+            ring = endofield.endomorphism_ring(self.module, assume_simple=True)
+            nf = endofield.as_number_field(ring)
+            if not isinstance(nf, endofield.NoncommutativeEndomorphism):
+                f = self.forms[0]
+                nf = endofield.involution_from_form(
+                    nf, SeifertForm(self.module, f.zeta, f.phi.scale(f.zeta)))
+            self._end = ring, nf
+        return self._end
 
 
 @dataclass
@@ -402,58 +436,32 @@ class AnisotropicDecomposition:
 
 
 def _isotropic_candidate(f: SeifertForm):
-    """Search for a proper nonzero submodule on which the form vanishes,
-    preferring them over arbitrary submodules: reducing through isotropic
-    simples is what makes metabolic inputs collapse completely.
-
-    Candidate submodules are spins of null-space vectors of factored sampled
-    algebra elements, together with small combinations of null-space basis
-    vectors (these catch diagonal lagrangians of orthogonal sums).  The
-    smallest isotropic one wins; once one is found, no element past the
-    third is started.  None as soon as Norton certifies V simple."""
+    """The submodule `_isotropic_search` finds, or None."""
     return _isotropic_search(f)[0]
 
 
 def _isotropic_search(f: SeifertForm):
-    """(inclusion, None) for the submodule `_isotropic_candidate` finds,
-    (None, certificate) when the search ends because V is simple, with the
-    certificate `is_simple(V)` gives, else (None, None).  On a simple V
-    both walk the same sweep to the same first factor whose kernel is a
-    line, since no vector before it spins to a proper submodule."""
+    """(inclusion, None) for a proper nonzero submodule on which the form
+    vanishes, (None, certificate) when the walk certifies V simple (the
+    certificate of `is_simple(V)`, the same walk), else (None, None).
+    Isotropic submodules make metabolic inputs collapse completely.  The
+    candidates are the walk's spins, with pairs (these catch diagonal
+    lagrangians of orthogonal sums): the smallest wins, the first among
+    equals, and once one is held no element past the third is started."""
     V = f.module
-    n = V.dim
-    if n == 1:
-        return None, SimpleCertificate("dimension-1")
-    gens = V.generators()
     best = None
-    for count, a, kernels in _factor_kernels(V):
-        for p, ker in kernels:
-            vectors = list(ker)
-            for i, j in itertools.islice(
-                    itertools.combinations(range(len(ker)), 2), 24):
-                vectors.append([x + y for x, y in zip(ker[i], ker[j])])
-                vectors.append([x - y for x, y in zip(ker[i], ker[j])])
-            for k, v in enumerate(vectors):
-                spun = spin(gens, [v], n)
-                d = spun.dim()
-                if k == 0 and d == n and len(ker) == p.degree():
-                    # ker p(a) is a line (see is_simple): every vector in it
-                    # spins to V, and only the dual spin can tell more
-                    if _norton_dual_spin(V, a, p).dim() == n:
-                        return None, SimpleCertificate(
-                            "norton", {"element_index": count, "factor": p})
-                    break
-                if not 0 < d < n:
-                    continue
-                basis = spun.basis_matrix().transpose()
-                iso = (basis.transpose() * f.phi * basis).is_zero()
-                if iso and (best is None or d < best[1]):
-                    best = (basis, d)
+    for count, found in _walk(V, pairs=True):
+        for kind, payload in found:
+            if kind == "simple":
+                return None, payload
+            if kind == "spin" and (best is None or payload.cols < best.cols) \
+                    and (payload.transpose() * f.phi * payload).is_zero():
+                best = payload
         if best is not None and count >= 2:
             break
     if best is None:
         return None, None
-    return submodule_from_basis(V, best[0])[1], None
+    return submodule_from_basis(V, best)[1], None
 
 
 def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
@@ -477,17 +485,17 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
             continue
         iso_incl, cert = _isotropic_search(g)
         if cert is not None:
-            # certified simple by the search itself
+            # certified simple by the walk itself
             simple = g.module
             incl = SeifertMorphism(simple, simple,
                                    QMatrix.identity(simple.dim), check=False)
-        elif iso_incl is None:
-            simple, incl, cert = find_simple_submodule(g.module)
         else:
-            # any simple inside an isotropic submodule is an isotropic simple
-            _inner, inner_incl, cert = find_simple_submodule(iso_incl.source)
-            simple, incl = submodule_from_basis(
-                g.module, iso_incl.matrix * inner_incl.matrix)
+            # a simple inside the isotropic candidate (isotropic too), or g
+            within = g.module if iso_incl is None else iso_incl.source
+            simple, incl, cert = find_simple_submodule(within)
+            if iso_incl is not None:
+                simple, incl = submodule_from_basis(
+                    g.module, iso_incl.matrix * incl.matrix)
         restriction = restrict_form(g, incl)
         if restriction.phi.is_zero():
             reduced, _section = induced_form_on_subquotient(g, incl)
@@ -539,43 +547,36 @@ def _group_sort_key(gr: IsotypicGroup):
 
 
 def _cancel_hyperbolic_pairs(gr: IsotypicGroup, log) -> IsotypicGroup:
-    """Remove pairs of forms whose orthogonal sum is metabolic.  Exact
-    negatives always cancel; otherwise the decision goes through the
-    endomorphism field when its class group is decidable.  A cancelled
-    form leaves together with its witness."""
+    """Remove, in place, pairs of forms whose orthogonal sum is metabolic.
+    Exact negatives always cancel; otherwise the decision goes through the
+    group's endomorphism field when its class group is decidable.  A
+    cancelled form leaves together with its witness."""
     pairs = list(zip(gr.forms, gr.witnesses))   # each form with its witness
     changed = True
     while changed:
         changed = False
         for i, j in itertools.combinations(range(len(pairs)), 2):
-            if _pair_cancels(gr.module, pairs[i][0], pairs[j][0]):
+            if _pair_cancels(gr, pairs[i][0], pairs[j][0]):
                 log.append(f"cancel hyperbolic pair on dim-{gr.module.dim} "
                            f"simple (indices {i}, {j})")
                 del pairs[j], pairs[i]
                 changed = True
                 break
-    return IsotypicGroup(gr.module, [f for f, _ in pairs],
-                         [w for _, w in pairs], gr.certificate)
+    gr.forms = [f for f, _ in pairs]
+    gr.witnesses = [w for _, w in pairs]
+    return gr
 
 
-def _pair_cancels(module: SeifertModule, f1: SeifertForm,
+def _pair_cancels(gr: IsotypicGroup, f1: SeifertForm,
                   f2: SeifertForm) -> bool:
-    if f2.phi == -f1.phi or f1.phi == -f2.phi:
+    if f2.phi == -f1.phi:
         return True
-    try:
-        ring = endofield.endomorphism_ring(module, assume_simple=True)
-        nf = endofield.as_number_field(ring)
-    except (SeifertError, endofield.EndomorphismError):
-        return False
+    ring, nf = gr.endomorphism_field()
     if isinstance(nf, endofield.NoncommutativeEndomorphism):
-        return False
-    b = SeifertForm(module, f1.zeta, f1.phi.scale(f1.zeta))
-    try:
-        nf = endofield.involution_from_form(nf, b)
-    except endofield.EndomorphismError:
         return False
     # against b = zeta f1, f1 transports to 1: the pair cancels when -g2 is
     # a norm
+    b = SeifertForm(gr.module, f1.zeta, f1.phi.scale(f1.zeta))
     g2 = endofield.transported_scalar(nf, b, f2)
     norm = endofield.norm_class(nf, endofield.field_neg(nf, g2))
     if norm is not None:

@@ -406,14 +406,12 @@ def _piece_report(group) -> PieceReport:
     zeta = forms[0].zeta
     b = SeifertForm(M, zeta, forms[0].phi.scale(zeta))
     b_matrix = [[rat_str(x) for x in row] for row in b.phi.data]
-    ring = endofield.endomorphism_ring(M, assume_simple=True)
-    nf = endofield.as_number_field(ring)
+    _ring, nf = group.endomorphism_field()
     if isinstance(nf, NoncommutativeEndomorphism):
         label = endofield.classify_noncommutative(nf, b)
         return PieceReport(M.dim, len(forms), label, None, b_matrix,
                            None, None, None, None,
                            "unsupported: quaternionic endomorphism ring")
-    nf = endofield.involution_from_form(nf, b)
     h = endofield.morita_transport(nf, forms, b)
     diag, _ = diagonalize(h)
     sigs = signatures(h, diag)

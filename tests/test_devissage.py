@@ -375,3 +375,118 @@ def test_witt_reduce_never_reaches_the_isomorphism_search(monkeypatch):
     for f in cases:
         witt_reduce(f)
     assert len(calls) >= 15
+
+
+def _line_spins(monkeypatch, f):
+    # spins under the module's own generators, counted per kernel ker p(a)
+    # of the walk, for the kernels that are lines of degree 2 or more
+    import linkwitt.devissage as dv
+    from linkwitt.rational import spin
+    V = f.module
+    gens = V.generators()
+    factor_kernels = dv._factor_kernels
+    current = {}
+    spins = {}
+
+    def tagged(W):
+        for count, a, kernels in factor_kernels(W):
+            def tag(kernels=kernels, count=count):
+                for p, ker in kernels:
+                    current["kernel"] = (count, p.degree(), len(ker))
+                    yield p, ker
+            yield count, a, tag()
+
+    def counted(g, vectors, n):
+        if g == gens:
+            key = current["kernel"]
+            spins[key] = spins.get(key, 0) + 1
+        return spin(g, vectors, n)
+
+    monkeypatch.setattr(dv, "_factor_kernels", tagged)
+    monkeypatch.setattr(dv, "spin", counted)
+    dv._isotropic_search(f)
+    monkeypatch.undo()
+    return [n for (_c, deg, nullity), n in spins.items()
+            if nullity == deg > 1]
+
+
+def test_the_isotropic_search_spins_a_line_kernel_once(monkeypatch):
+    # every nonzero vector of a line over Q[a]/(p) spins to one submodule,
+    # so one spin per line decides it (the 4-dimensional simple of the
+    # worked example is such a line for the first three elements)
+    assert _line_spins(monkeypatch, worked_example_form().promote()) \
+        == [1, 1, 1]
+    rng = random.Random(5)
+    for _ in range(4):
+        assert _line_spins(monkeypatch, _knot_form(rng, 2)) == [1]
+
+
+def test_one_endomorphism_field_per_isotypic_group(monkeypatch):
+    # pair cancellation and the piece report share the group's field; a
+    # group of exact negatives builds none
+    from fractions import Fraction
+    import linkwitt.endofield as ef
+    from linkwitt.devissage import IsotypicGroup, _cancel_hyperbolic_pairs
+    from linkwitt.seifert import SeifertMorphism
+    from linkwitt.wittinv import _piece_report
+    calls = []
+    endomorphism_ring = ef.endomorphism_ring
+
+    def counted(M, *args, **kwargs):
+        calls.append(M)
+        return endomorphism_ring(M, *args, **kwargs)
+
+    monkeypatch.setattr(ef, "endomorphism_ring", counted)
+    line = SeifertModule.from_blocks(1, QMatrix(1, 1, [[Fraction(1, 2)]]),
+                                     [1])
+    f = SeifertForm(line, 1, QMatrix(1, 1, [[1]]))
+    for c in (2, 3):
+        f = f.direct_sum(SeifertForm(line, 1, QMatrix(1, 1, [[c]])))
+    report = analyze_form(f)
+    assert [p.multiplicity for p in report.pieces] == [3]
+    assert len(calls) == 1
+
+    g = worked_example_simple_form()
+    M = g.module
+    ident = SeifertMorphism(M, M, QMatrix.identity(M.dim), check=False)
+    forms = [SeifertForm(M, -1, g.phi.scale(c)) for c in (1, 2, 3)]
+    calls.clear()
+    group = _cancel_hyperbolic_pairs(
+        IsotypicGroup(M, forms, [ident] * 3), [])
+    assert len(group.forms) == 3
+    piece = _piece_report(group)
+    assert piece.multiplicity == 3 and piece.end_minpoly == "1 + -1 x + x^2"
+    assert len(calls) == 1
+
+    calls.clear()
+    group = _cancel_hyperbolic_pairs(
+        IsotypicGroup(M, [g, g.negate()], [ident] * 2), [])
+    assert group.forms == [] and calls == []
+
+
+def test_the_involution_is_that_of_any_form_of_the_group():
+    # End(M) is commutative, so every form of an isotypic group induces the
+    # same involution on its endomorphism field
+    from support import conjugate_form
+    from linkwitt.endofield import (as_number_field, endomorphism_ring,
+                                    involution_from_form)
+    rng = random.Random(404)
+    inputs = [worked_example_simple_form().direct_sum(
+        SeifertForm(worked_example_simple(), -1,
+                    worked_example_simple_form().phi.scale(5)))]
+    for _ in range(6):
+        k = _knot_form(rng, 2)
+        inputs.append(k.direct_sum(conjugate_form(rng, k)))
+    checked = 0
+    for f in inputs:
+        for gr in witt_reduce(f).groups:
+            if len(gr.forms) < 2:
+                continue
+            nf = as_number_field(endomorphism_ring(gr.module,
+                                                   assume_simple=True))
+            images = [involution_from_form(nf, SeifertForm(
+                gr.module, h.zeta, h.phi.scale(h.zeta))).involution_image
+                for h in gr.forms]
+            assert all(image == images[0] for image in images)
+            checked += 1
+    assert checked >= 3

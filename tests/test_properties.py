@@ -1,0 +1,185 @@
+"""Metamorphic properties of the invariant pipeline, and a schema fuzzer for
+the command line.  Hypothesis runs derandomized, so every run draws the
+same cases."""
+
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from linkwitt import cli
+from linkwitt.seifert import SeifertForm
+from linkwitt.wittinv import analyze_form
+
+from support import conjugate_form, knot_form, random_form
+
+
+def cases(n):
+    return settings(derandomize=True, deadline=None, max_examples=n,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def form_and_scramble(draw):
+    """f = random_form with mu 1-3, dim 1-4, zeta +-1, and g a random base
+    change of f: isometric to f, so cobordant with it."""
+    rng = random.Random(draw(seeds))
+    f = random_form(rng, draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                    draw(st.sampled_from([1, -1])))
+    return f, conjugate_form(rng, f)
+
+
+def decided(verdict: str) -> bool:
+    return not verdict.startswith("undetermined")
+
+
+@cases(30)
+@given(form_and_scramble())
+def test_form_minus_its_scramble_is_never_nontrivial(pair):
+    f, g = pair
+    assert analyze_form(f.direct_sum(g.negate())).verdict != "nontrivial"
+
+
+@cases(30)
+@given(form_and_scramble())
+def test_scrambling_keeps_every_decided_verdict(pair):
+    f, g = pair
+    vf, vg = analyze_form(f).verdict, analyze_form(g).verdict
+    if decided(vf) and decided(vg):
+        assert vf == vg
+
+
+def scaled(f: SeifertForm, c: int) -> SeifertForm:
+    # c * I is an isometry from c^2 f to f
+    return SeifertForm(f.module, f.zeta, f.phi.scale(c * c))
+
+
+@cases(15)
+@given(form_and_scramble(), st.sampled_from([2, 3]))
+def test_form_minus_a_square_multiple_is_never_nontrivial(pair, c):
+    f, _ = pair
+    difference = f.direct_sum(scaled(f, c).negate())
+    assert analyze_form(difference).verdict != "nontrivial"
+
+
+@cases(8)
+@given(seeds, st.sampled_from([2, 3]))
+def test_knot_minus_a_square_multiple_is_never_nontrivial(seed, c):
+    f = knot_form(random.Random(seed), 2)
+    difference = f.direct_sum(scaled(f, c).negate())
+    assert analyze_form(difference).verdict != "nontrivial"
+
+
+# ---------------------------------------------------------------------------
+# command-line schema fuzzer
+# ---------------------------------------------------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+with open(os.path.join(DATA, "worked_example.json"), encoding="utf-8") as fh:
+    WORKED = json.load(fh)
+
+PATHS = [("mu",), ("ring",), ("dim",), ("s",), ("projections",),
+         ("projections", "type"), ("projections", "sizes"), ("form",),
+         ("form", "zeta"), ("form", "phi")]
+MATRICES = [("s",), ("form", "phi")]
+JUNK = st.sampled_from([None, True, False, 0, -1, 7, 2.5, "", "Q", "x", [],
+                        {}, [[]], [1, 2], {"type": "blocks"}])
+BAD_RATIONALS = st.sampled_from(["", " ", "x", "1/0", "1//2", "--1", "1/",
+                                 "/2", "nan", "inf", "1.5.2", "0x10", True,
+                                 False, None, [], {}, 1.5])
+VALUES = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", 2, -2])
+
+
+def at(doc, path):
+    for key in path:
+        if not isinstance(doc, dict) or key not in doc:
+            return None
+        doc = doc[key]
+    return doc
+
+
+def parent_of(doc, path):
+    parent = at(doc, path[:-1])
+    return parent if isinstance(parent, dict) else None
+
+
+@st.composite
+def mutation(draw, doc):
+    kind = draw(st.sampled_from(["type", "missing", "rational", "value",
+                                 "size"]))
+    if kind in ("type", "missing"):
+        path = draw(st.sampled_from(PATHS))
+        parent = parent_of(doc, path)
+        if parent is None:
+            return
+        if kind == "type":
+            parent[path[-1]] = draw(JUNK)
+        else:
+            parent.pop(path[-1], None)
+        return
+    m = at(doc, draw(st.sampled_from(MATRICES)))
+    if (not isinstance(m, list) or not m
+            or not all(isinstance(r, list) and r for r in m)):
+        return
+    i = draw(st.integers(0, len(m) - 1))
+    j = draw(st.integers(0, len(m[i]) - 1))
+    if kind in ("rational", "value"):
+        m[i][j] = draw(BAD_RATIONALS if kind == "rational" else VALUES)
+        return
+    change = draw(st.sampled_from(["drop row", "drop entry", "extra row",
+                                   "extra entry", "dim", "sizes"]))
+    if change == "drop row":
+        del m[i]
+    elif change == "drop entry":
+        del m[i][j]
+    elif change == "extra row":
+        m.append(list(m[i]))
+    elif change == "extra entry":
+        m[i].append("0")
+    elif change == "dim":
+        doc["dim"] = draw(st.sampled_from([0, 1, 5, 7]))
+    else:
+        doc["projections"] = {"type": "blocks",
+                              "sizes": draw(st.sampled_from(
+                                  [[6], [3, 3], [4, 2, 0], [5, 2], [7, -1]]))}
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(WORKED))
+    for _ in range(draw(st.integers(0, 2))):
+        draw(mutation(doc))
+    return doc
+
+
+COMMANDS = [["invariants", "{f}"], ["cobordant", "{f}", "{f}"],
+            ["cobordant", "{w}", "{f}"], ["cover", "{f}", "--degree", "3"],
+            ["primitive", "{f}"]]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@cases(80)
+@given(mutated_documents(), st.sampled_from(COMMANDS))
+def test_mutated_inputs_end_in_a_documented_exit_code(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        worked = os.path.join(DATA, "worked_example.json")
+        code, err = run_cli([a.format(f=path, w=worked) for a in command])
+    assert code in (0, 2, 3, 4, 5), (code, err)
+    if code in (2, 3, 5):
+        assert err.endswith("\n") and err.count("\n") == 1, err
