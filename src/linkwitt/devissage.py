@@ -12,11 +12,14 @@ ker p(a) for the irreducible factors p of the minimal polynomials of
 sampled algebra elements a, and Norton's criterion decides when ker p(a) is
 a line over Q[a]/(p).  `is_simple` takes its first finding, and the
 isotropic search its smallest isotropic spin or its certificate, which the
-reduction loop takes as is.  The complete fallback computes the Jacobson
-radical of the acting algebra through the trace form (valid in
-characteristic zero) and then hunts for zero divisors or idempotents in the
-endomorphism ring; quaternion endomorphism algebras over Q are decided
-exactly by Hilbert symbols on the norm form.  Each isotypic group builds its
+reduction loop takes as is.  A spin from ker p(a) contains Q[a]v and so has
+dimension at least deg p: once the search holds a candidate of dimension
+<= deg p it spins no further vector of a kernel of p that is not a line
+(a line is still spun once, for Norton's test).  The complete fallback
+computes the Jacobson radical of the acting algebra through the trace form
+(valid in characteristic zero) and then hunts for zero divisors or
+idempotents in the endomorphism ring; quaternion endomorphism algebras over
+Q are decided exactly by Hilbert symbols on the norm form.  Each isotypic group builds its
 endomorphism field at most once, for its pair cancellation and its report.
 """
 
@@ -145,7 +148,7 @@ def _kernels(a: QMatrix, factors: list):
         yield p, [m.col(j) for j in range(m.cols)]
 
 
-def _walk(V: SeifertModule, pairs: bool = False):
+def _walk(V: SeifertModule, pairs: bool = False, held=None):
     """The one MeatAxe walk, over `_factor_kernels`: (count, found) per
     sampled element, `found` lazily yielding ("spin", columns) for a kernel
     vector that spins to the proper submodule the columns span, ("dual",
@@ -155,16 +158,19 @@ def _walk(V: SeifertModule, pairs: bool = False):
     submodule.  When that is V, Norton (Holt-Rees 1994) decides: V is simple
     exactly when a vector of ker p(a^T) spins to Q^n under the transposed
     generators.  Other kernels have each basis vector spun and, with
-    `pairs`, the sums and differences of their first 24 pairs."""
+    `pairs`, the sums and differences of their first 24 pairs; with `held`,
+    a callable giving the dimension of the caller's held candidate, such a
+    kernel stops before a vector once that dimension is <= deg p (a spin of
+    v in ker p(a) contains Q[a]v, of dimension deg p)."""
     if V.dim == 1:
         yield 0, [("simple", SimpleCertificate("dimension-1"))]
         return
     for count, a, kernels in _factor_kernels(V):
-        yield count, _kernel_findings(V, count, a, kernels, pairs)
+        yield count, _kernel_findings(V, count, a, kernels, pairs, held)
 
 
 def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
-                     pairs: bool):
+                     pairs: bool, held):
     n = V.dim
     gens = V.generators()
     for p, ker in kernels:
@@ -187,6 +193,8 @@ def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
             vectors.append([x + y for x, y in zip(ker[i], ker[j])])
             vectors.append([x - y for x, y in zip(ker[i], ker[j])])
         for v in vectors:
+            if held is not None and held() <= p.degree():
+                break
             spun = spin(gens, [v], n)
             if 0 < spun.dim() < n:
                 yield "spin", spun.basis_matrix().transpose()
@@ -447,10 +455,19 @@ def _isotropic_search(f: SeifertForm):
     Isotropic submodules make metabolic inputs collapse completely.  The
     candidates are the walk's spins, with pairs (these catch diagonal
     lagrangians of orthogonal sums): the smallest wins, the first among
-    equals, and once one is held no element past the third is started."""
+    equals, and once one is held no element past the third is started.
+    A spin from ker p(a) has dimension at least deg p, so a kernel that is
+    not a line stops spinning once the held candidate has dimension
+    <= deg p: none of its spins could replace it.  A line kernel is still
+    spun once, for its Norton test."""
     V = f.module
     best = None
-    for count, found in _walk(V, pairs=True):
+
+    def held():
+        # V.dim never stops a kernel that is not a line: there deg p < n
+        return V.dim if best is None else best.cols
+
+    for count, found in _walk(V, pairs=True, held=held):
         for kind, payload in found:
             if kind == "simple":
                 return None, payload

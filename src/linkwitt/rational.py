@@ -11,20 +11,30 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+# at most Python's default int-string limit of digits per integer
+_RAT_PATTERN = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+
+
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction or a 'p/q' string."""
+    """Parse a rational from an int, Fraction or a string '-?p' or '-?p/q'
+    (ASCII digits, at most 4300 of them in p and in q)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        text = x.strip()
+        if _RAT_PATTERN.fullmatch(text) is None:
+            raise ValueError(f"not a rational of the form p or p/q: "
+                             f"{text[:40]!r}")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

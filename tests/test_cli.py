@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -261,6 +262,21 @@ def test_schema_errors_at_the_cli_boundary(capsys, tmp_path, command, field,
     code, out, err = _run(capsys, command, str(path))
     assert code == 2
     assert "schema error" in err and out == ""
+
+
+@pytest.mark.parametrize("entry", ["0.5", "1e3", "1E5", "1e3000000", "+1",
+                                   "1_000"])
+def test_only_integer_and_fraction_strings_are_rationals(capsys, tmp_path,
+                                                         entry):
+    # a decimal exponent is refused before any integer is built from it
+    doc = dict(_LINE, form={"zeta": 1, "phi": [[entry]]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "invariants", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("error", [SimplicityUndecided("no certificate"),

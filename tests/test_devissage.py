@@ -421,6 +421,108 @@ def test_the_isotropic_search_spins_a_line_kernel_once(monkeypatch):
         assert _line_spins(monkeypatch, _knot_form(rng, 2)) == [1]
 
 
+def _unpruned_isotropic_search(f, spins):
+    # the isotropic search spinning every kernel vector the walk offers:
+    # the first vector of a line (with Norton's test when it spins to V),
+    # else every basis vector and the sums and differences of 24 pairs;
+    # the smallest isotropic spin wins, the first among equals
+    import itertools
+    from linkwitt.devissage import _factor_kernels
+    from linkwitt.rational import kernel_columns, spin
+    from linkwitt.seifert import submodule_from_basis
+    V = f.module
+    n = V.dim
+    if n == 1:
+        return None, "dimension-1"
+    gens = V.generators()
+    best = None
+    for count, a, kernels in _factor_kernels(V):
+        for p, ker in kernels:
+            line = len(ker) == p.degree()
+            vectors = ker[:1] if line else list(ker)
+            for u, w in itertools.islice(itertools.combinations(ker, 2),
+                                         0 if line else 24):
+                vectors.append([x + y for x, y in zip(u, w)])
+                vectors.append([x - y for x, y in zip(u, w)])
+            for v in vectors:
+                spins.append((p.degree(), len(ker)))
+                spun = spin(gens, [v], n)
+                if line and spun.dim() == n:
+                    w = kernel_columns(p.eval_matrix(a.transpose())).col(0)
+                    dual = spin([g.transpose() for g in gens], [w], n)
+                    if dual.dim() == n:
+                        return None, "norton"
+                if 0 < spun.dim() < n:
+                    b = spun.basis_matrix().transpose()
+                    if ((best is None or b.cols < best.cols)
+                            and (b.transpose() * f.phi * b).is_zero()):
+                        best = b
+        if best is not None and count >= 2:
+            break
+    if best is None:
+        return None, None
+    return submodule_from_basis(V, best)[1].matrix, None
+
+
+def _oracle_forms():
+    from support import conjugate_form
+    rng = random.Random(2024)
+    forms = [random_form(rng, rng.randint(1, 3), rng.randint(2, 8),
+                         rng.choice([1, -1])) for _ in range(32)]
+    for d in (4, 4, 4, 4, 4, 6, 6, 6):
+        f = random_form(rng, rng.randint(1, 3), d, rng.choice([1, -1]))
+        forms.append(f.direct_sum(conjugate_form(rng, f).negate()))
+    return forms
+
+
+def test_the_pruned_isotropic_search_matches_the_unpruned_one(monkeypatch):
+    # a spin from ker p(a) contains Q[a]v, of dimension deg p, so it cannot
+    # beat a held candidate of dimension <= deg p: skipping it changes no
+    # answer, and no kernel that is not a line is spun past that point
+    import linkwitt.devissage as dv
+    from linkwitt.rational import spin
+    factor_kernels = dv._factor_kernels
+    pruned = unpruned = 0
+    for f in _oracle_forms():
+        reference = []
+        incl, kind = _unpruned_isotropic_search(f, reference)
+        unpruned += sum(nullity > deg for deg, nullity in reference)
+        V = f.module
+        gens = V.generators()
+        current = {}
+        held = [None]
+        late = []
+
+        def tagged(W):
+            for count, a, kernels in factor_kernels(W):
+                def tag(kernels=kernels):
+                    for p, ker in kernels:
+                        current["kernel"] = (p.degree(), len(ker))
+                        yield p, ker
+                yield count, a, tag()
+
+        def counted(g, vectors, n):
+            spun = spin(g, vectors, n)
+            if g == gens:
+                deg, nullity = current["kernel"]
+                if nullity > deg:
+                    late.append(held[0] is not None and held[0] <= deg)
+                b = spun.basis_matrix().transpose()
+                if 0 < b.cols < n and (b.transpose() * f.phi * b).is_zero():
+                    held[0] = min(held[0] or n, b.cols)
+            return spun
+
+        monkeypatch.setattr(dv, "_factor_kernels", tagged)
+        monkeypatch.setattr(dv, "spin", counted)
+        found, cert = dv._isotropic_search(f)
+        monkeypatch.undo()
+        assert (found and found.matrix) == incl
+        assert (cert and cert.kind) == kind
+        assert not any(late)
+        pruned += len(late)
+    assert pruned < unpruned
+
+
 def test_one_endomorphism_field_per_isotypic_group(monkeypatch):
     # pair cancellation and the piece report share the group's field; a
     # group of exact negatives builds none

@@ -8,11 +8,14 @@ import json
 import os
 import random
 import tempfile
+from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, given, settings,
+                        strategies as st)
 
 from linkwitt import cli
-from linkwitt.seifert import SeifertForm
+from linkwitt.rational import QMatrix
+from linkwitt.seifert import SeifertForm, SeifertModule
 from linkwitt.wittinv import analyze_form
 
 from support import conjugate_form, knot_form, random_form
@@ -75,6 +78,24 @@ def test_knot_minus_a_square_multiple_is_never_nontrivial(seed, c):
     f = knot_form(random.Random(seed), 2)
     difference = f.direct_sum(scaled(f, c).negate())
     assert analyze_form(difference).verdict != "nontrivial"
+
+
+nonzero = st.integers(-6, 6).filter(bool)
+
+
+@cases(60)
+@given(nonzero, nonzero, st.integers(-3, 3), st.integers(-3, 3))
+def test_isometric_diagonal_pairs_are_cobordant(a, b, x, y):
+    # <a, b> represents c = a x^2 + b y^2, so it is isometric to
+    # <c, abc>: on s = I/2 with mu = 1 their difference is Witt-trivial
+    c = a * x * x + b * y * y
+    assume(c != 0)
+    diagonal = [a, b, -c, -a * b * c]
+    V = SeifertModule.from_blocks(1, QMatrix.identity(4).scale(
+        Fraction(1, 2)), [4])
+    phi = QMatrix(4, 4, [[diagonal[i] if i == j else 0 for j in range(4)]
+                         for i in range(4)])
+    assert analyze_form(SeifertForm(V, 1, phi)).verdict == "witt-trivial"
 
 
 # ---------------------------------------------------------------------------
