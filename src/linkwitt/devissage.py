@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import (Q0, QMatrix, RowSpace, factor_int,
-                       factor_rational_poly, kernel_columns, lincomb,
-                       minimal_polynomial, solve_or_kernel, span_coordinates,
-                       spin)
+                       apply_integer, factor_rational_poly, integer_matrix,
+                       kernel_columns, lincomb, minimal_polynomial,
+                       solve_or_kernel, span_coordinates, spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
                       SeifertMorphism, find_isomorphism, hom_space,
                       induced_form_on_subquotient, perp_basis, quotient_module,
@@ -150,8 +150,8 @@ def _kernels(a: QMatrix, factors: list):
 
 def _walk(V: SeifertModule, pairs: bool = False, held=None):
     """The one MeatAxe walk, over `_factor_kernels`: (count, found) per
-    sampled element, `found` lazily yielding ("spin", columns) for a kernel
-    vector that spins to the proper submodule the columns span, ("dual",
+    sampled element, `found` lazily yielding ("spin", space) for a kernel
+    vector that spins to the proper submodule `space` (a `RowSpace`), ("dual",
     columns) for the proper annihilator of a failed Norton test, and
     ("simple", certificate).  A line over Q[a]/(p) (nullity p(a) = deg p)
     has its first vector spun once: all its nonzero vectors spin to one
@@ -185,7 +185,7 @@ def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
                     return
                 yield "dual", kernel_columns(spun.basis_matrix())
             else:
-                yield "spin", spun.basis_matrix().transpose()
+                yield "spin", spun
             continue
         vectors = list(ker)
         for i, j in itertools.islice(itertools.combinations(
@@ -197,7 +197,7 @@ def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
                 break
             spun = spin(gens, [v], n)
             if 0 < spun.dim() < n:
-                yield "spin", spun.basis_matrix().transpose()
+                yield "spin", spun
 
 
 def is_simple(V: SeifertModule):
@@ -210,6 +210,8 @@ def is_simple(V: SeifertModule):
         for kind, payload in found:
             if kind == "simple":
                 return True, payload
+            if kind == "spin":
+                payload = payload.basis_matrix().transpose()
             return False, submodule_from_basis(V, payload)[1]
 
     # complete fallback: algebra radical, then the endomorphism ring
@@ -459,26 +461,36 @@ def _isotropic_search(f: SeifertForm):
     A spin from ker p(a) has dimension at least deg p, so a kernel that is
     not a line stops spinning once the held candidate has dimension
     <= deg p: none of its spins could replace it.  A line kernel is still
-    spun once, for its Norton test."""
+    spun once, for its Norton test.  A spin is isotropic when the integer
+    multiple of phi vanishes on its integer rows."""
     V = f.module
+    phi = integer_matrix(f.phi)[1]
     best = None
 
     def held():
         # V.dim never stops a kernel that is not a line: there deg p < n
-        return V.dim if best is None else best.cols
+        return V.dim if best is None else best.dim()
 
     for count, found in _walk(V, pairs=True, held=held):
         for kind, payload in found:
             if kind == "simple":
                 return None, payload
-            if kind == "spin" and (best is None or payload.cols < best.cols) \
-                    and (payload.transpose() * f.phi * payload).is_zero():
+            if kind == "spin" and payload.dim() < held() \
+                    and _vanishes(phi, payload.rows):
                 best = payload
         if best is not None and count >= 2:
             break
     if best is None:
         return None, None
-    return submodule_from_basis(V, best)[1], None
+    return submodule_from_basis(V, best.basis_matrix().transpose())[1], None
+
+
+def _vanishes(phi: list, rows: list) -> bool:
+    """Whether the form with sparse integer rows `phi` vanishes on the span
+    of the integer vectors `rows`."""
+    images = [apply_integer(phi, w) for w in rows]
+    return not any(sum(x * y for x, y in zip(u, im))
+                   for im in images for u in rows)
 
 
 def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:

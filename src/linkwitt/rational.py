@@ -1,13 +1,19 @@
 """Exact arithmetic over the rationals.
 
 Matrices, univariate polynomials, polynomial factorization and real root
-isolation, all with `fractions.Fraction` entries.  No floating point is used
-anywhere; every sign determination of a real algebraic number goes through
-Sturm sequences and rational interval arithmetic.
+isolation, all with `fractions.Fraction` entries.  `RowSpace`, `spin`,
+`rref` (behind `coordinates`, `kernel_columns`, `solve_or_kernel`) and the
+Krylov chains of `minimal_polynomial` eliminate on primitive integer
+multiples of their rows; a reduced row echelon form depends only on the
+row space, so each result is the one Gauss-Jordan over Q gives.  No
+floating point is used anywhere; every sign determination of a real
+algebraic number goes through Sturm sequences and rational interval
+arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -192,31 +198,18 @@ class QMatrix:
                        [list(r) for r in self.data + other.data])
 
     def rref(self):
-        """Reduced row echelon form.  Returns (R, pivot column list)."""
-        m = [list(r) for r in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
+        """Reduced row echelon form.  Returns (R, pivot column list).  The
+        elimination is `RowSpace`'s, fraction-free on the primitive integer
+        multiples of the rows; R has the same row space, so it is the
+        reduced form over Q, followed by zero rows."""
+        space = RowSpace(self.cols)
+        for row in self.data:
+            if space.dim() == self.cols:
                 break
-        return QMatrix(self.rows, self.cols, m), pivots
+            _insert(space.rows, space.pivots, _integer_row(row))
+        zeros = [[Q0] * self.cols for _ in range(self.rows - space.dim())]
+        return (QMatrix(self.rows, self.cols,
+                        space.basis_matrix().data + zeros), space.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -370,66 +363,110 @@ def lincomb(coeffs, mats: list) -> QMatrix:
     return QMatrix(rows, cols, acc)
 
 
+def integer_matrix(M: QMatrix):
+    """(d, N): d the least common denominator of the entries of M and N = dM
+    as sparse integer rows, a list of (column, entry) pairs per row."""
+    d = math.lcm(*[x.denominator for row in M.data for x in row])
+    return d, [[(j, x.numerator * (d // x.denominator))
+                for j, x in enumerate(row) if x] for row in M.data]
+
+
+def apply_integer(N: list, vec: list) -> list:
+    """The sparse integer rows N of `integer_matrix` times an integer
+    vector."""
+    return [sum(a * vec[j] for j, a in row) for row in N]
+
+
+def _primitive(v: list) -> list:
+    """An integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g in (0, 1) else [x // g for x in v]
+
+
+def _integer_row(vec) -> list:
+    """The primitive integer multiple of a rational vector."""
+    d = math.lcm(*[x.denominator for x in vec])
+    return _primitive([x.numerator * (d // x.denominator) for x in vec])
+
+
+def _reduce(rows: list, pivots: list, v: list) -> list:
+    """An integer multiple of v minus a combination of `rows`, zero at
+    every pivot."""
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            a = row[p]
+            g = math.gcd(a, c)
+            a, c = a // g, c // g
+            v = [a * x - c * y for x, y in zip(v, row)]
+    return v
+
+
+def _insert(rows: list, pivots: list, v: list) -> bool:
+    """Insert the integer vector v into primitive integer echelon rows,
+    each zero at the other rows' pivots, pivots ascending; True when it
+    enlarged their span."""
+    v = _reduce(rows, pivots, v)
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is None:
+        return False
+    v = _primitive(v)
+    pv = v[p]
+    for i, row in enumerate(rows):
+        c = row[p]
+        if c:
+            g = math.gcd(pv, c)
+            a, c = pv // g, c // g
+            rows[i] = _primitive([a * x - c * y for x, y in zip(row, v)])
+    k = bisect.bisect(pivots, p)
+    rows.insert(k, v)
+    pivots.insert(k, p)
+    return True
+
+
 class RowSpace:
-    """Incremental row space in echelon form; backbone of spinning and Krylov
-    iterations."""
+    """Incremental row space; backbone of spinning and Krylov iterations.
+    Rows are kept as primitive integer vectors, zero at the other rows'
+    pivots, and `basis_matrix` divides each by its pivot entry: that is the
+    reduced row echelon form over Q, whatever multiples were inserted."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows = []      # echelon rows, leading entry 1
-        self.pivots = []    # pivot column of each row
-
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        self.rows = []      # primitive integer rows
+        self.pivots = []    # pivot column of each row, ascending
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True if it enlarged the space."""
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        lead = v[p]
-        if lead != 1:
-            v = [x / lead for x in v]
-        for row in self.rows:
-            if row[p]:
-                f = row[p]
-                row[:] = [a - f * b for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(p)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
+        """Insert a rational vector; returns True if it enlarged the
+        space."""
+        return _insert(self.rows, self.pivots, _integer_row(vec))
 
     def contains(self, vec) -> bool:
-        return all(not x for x in self.reduce(vec))
+        return not any(_reduce(self.rows, self.pivots, _integer_row(vec)))
 
     def dim(self) -> int:
         return len(self.rows)
 
     def basis_matrix(self) -> QMatrix:
-        return QMatrix.from_rows(self.rows) if self.rows \
-            else QMatrix.zeros(0, self.width)
+        return QMatrix(len(self.rows), self.width,
+                       [[Fraction(x, row[p]) if x else Q0 for x in row]
+                        for row, p in zip(self.rows, self.pivots)])
 
 
 def spin(mats: list, vectors, width: int) -> RowSpace:
     """Smallest subspace of Q^width containing `vectors` and invariant under
-    every matrix in `mats`, in echelon form."""
+    every matrix in `mats`.  It applies the integer multiple dm of each
+    matrix m to primitive integer vectors: dm and m have the same invariant
+    subspaces."""
     space = RowSpace(width)
+    ints = [integer_matrix(m)[1] for m in mats]
     queue = []
-    for v in vectors:
+    for v in map(_integer_row, vectors):
         if space.add(v):
-            queue.append(list(v))
+            queue.append(v)
     while queue:
         v = queue.pop()
-        for m in mats:
-            w = m.apply(v)
+        for m in ints:
+            w = _primitive(apply_integer(m, v))
             if space.add(w):
                 queue.append(w)
     return space
@@ -610,20 +647,24 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
     """Monic minimal polynomial: the lcm of the annihilators of the Krylov
     chains from the basis vectors, skipping each basis vector that the
     running lcm already annihilates (a Horner check with matrix-vector
-    products) and stopping once the lcm has degree n."""
+    products) and stopping once the lcm has degree n.  The chains run on
+    the integer matrix N = dM, d the common denominator; N's minimal
+    polynomial q, of degree k, has integer coefficients (Gauss's lemma),
+    and that of M is q(dx)/d^k."""
     if not M.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = M.rows
+    d, N = integer_matrix(M)
     result = QPoly.one()
     for start in range(n):
         if result.degree() == n:
             break
-        e = [Q1 if i == start else Q0 for i in range(n)]
-        # result(M) e, by Horner (result is monic)
+        e = [int(i == start) for i in range(n)]
+        # result(N) e, by Horner (result is monic with integer coefficients)
         vec = e
         for c in reversed(result.coeffs[:-1]):
-            vec = M.apply(vec)
-            vec[start] += c
+            vec = apply_integer(N, vec)
+            vec[start] += c.numerator
         if not any(vec):
             continue
         # Krylov chain from e until the first linear dependence
@@ -631,13 +672,14 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
         vec = e
         powers = [e]
         while chain.add(vec):
-            vec = M.apply(vec)
+            vec = apply_integer(N, vec)
             powers.append(vec)
         A = QMatrix.from_rows(powers[:-1]).transpose()
         sol = coordinates(A, QMatrix.column(powers[-1]))
         ann = QPoly([-c for c in sol.col(0)] + [Q1])
         result = _poly_lcm(result, ann)
-    return result
+    k = result.degree()
+    return QPoly([c / d ** (k - i) for i, c in enumerate(result.coeffs)])
 
 
 def _poly_lcm(a: QPoly, b: QPoly) -> QPoly:

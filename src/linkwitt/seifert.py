@@ -325,11 +325,10 @@ def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
 
     Returns (form on the subquotient, basis columns of the chosen section
     inside the ambient module): the L-perp basis columns at the non-pivot
-    coordinates of L inside L-perp.
-    """
-    err = f.validate()
-    if err is not None:
-        raise SeifertError(f"invalid form: {err}")
+    coordinates of L inside L-perp.  Precondition: f is valid.  It is not
+    checked here: in the Witt reduction f is the checked input or comes
+    from a checked form by a step that keeps forms valid.  The isotropy of
+    L and the output form are checked."""
     L = incl.matrix
     iso = L.transpose() * f.phi * L
     if not iso.is_zero():

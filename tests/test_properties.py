@@ -8,13 +8,14 @@ import json
 import os
 import random
 import tempfile
+import time
 from fractions import Fraction
 
-from hypothesis import (HealthCheck, assume, given, settings,
+from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from linkwitt import cli
-from linkwitt.rational import QMatrix
+from linkwitt.rational import QMatrix, squarefree_part
 from linkwitt.seifert import SeifertForm, SeifertModule
 from linkwitt.wittinv import analyze_form
 
@@ -96,6 +97,59 @@ def test_isometric_diagonal_pairs_are_cobordant(a, b, x, y):
     phi = QMatrix(4, 4, [[diagonal[i] if i == j else 0 for j in range(4)]
                          for i in range(4)])
     assert analyze_form(SeifertForm(V, 1, phi)).verdict == "witt-trivial"
+
+
+def half_identity_form(phi):
+    n = len(phi)
+    V = SeifertModule.from_blocks(1, QMatrix.identity(n).scale(
+        Fraction(1, 2)), [n])
+    return SeifertForm(V, 1, QMatrix(n, n, phi))
+
+
+@st.composite
+def symmetric_forms(draw):
+    """A nonsingular symmetric form on s = I/2 with mu = 1, of dimension
+    1-3: every submodule is a line sum, End = Q, and each piece is
+    decided."""
+    n = draw(st.integers(1, 3))
+    phi = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            phi[i][j] = phi[j][i] = draw(st.integers(-4, 4))
+    assume(QMatrix(n, n, phi).det() != 0)
+    return half_identity_form(phi)
+
+
+def absolute_invariants(f):
+    """(signature, signed discriminant as a squarefree integer, rank) of the
+    Witt class of a form from `symmetric_forms`.  Its one piece reports
+    them for the hermitian form h relative to the 1 x 1 matrix b = chosen_b,
+    and the class is that of b h."""
+    report = analyze_form(f)
+    assert decided(report.verdict)
+    if not report.pieces:
+        return 0, 1, 0
+    [piece] = report.pieces
+    assert piece.status == "complete"
+    b = Fraction(piece.chosen_b[0][0])
+    m = piece.multiplicity
+    [(_place, signature)] = piece.signatures
+    representative = Fraction(piece.discriminant["representative"])
+    return ((1 if b > 0 else -1) * signature,
+            squarefree_part(b ** m * representative), m)
+
+
+@cases(40)
+@given(symmetric_forms(), symmetric_forms())
+def test_signatures_add_and_discriminants_multiply_under_sums(f, g):
+    # the signed discriminant (-1)^(m(m-1)/2) det of a sum of ranks m and
+    # n is the product of the two times (-1)^(mn)
+    sf, df, mf = absolute_invariants(f)
+    sg, dg, mg = absolute_invariants(g)
+    s, d, m = absolute_invariants(f.direct_sum(g))
+    assert s == sf + sg
+    assert d == squarefree_part((-1) ** (mf * mg) * df * dg)
+    assert (m - mf - mg) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +258,39 @@ def test_mutated_inputs_end_in_a_documented_exit_code(doc, command):
     assert code in (0, 2, 3, 4, 5), (code, err)
     if code in (2, 3, 5):
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+@st.composite
+def exponent_and_decimal_strings(draw):
+    """Strings Python's float() or Fraction() would take but a rational
+    entry must not: a decimal point, an exponent, or both."""
+    digits = st.text("0123456789", min_size=1, max_size=7)
+    mantissa = draw(st.sampled_from(["", "-"])) + draw(digits)
+    if draw(st.booleans()):
+        mantissa += "." + draw(digits)
+    if draw(st.booleans()) or "." not in mantissa:
+        mantissa += (draw(st.sampled_from(["e", "E", "e-", "E-", "e+"]))
+                     + draw(digits))
+    return mantissa
+
+
+@cases(80)
+@given(exponent_and_decimal_strings(), st.sampled_from(MATRICES),
+       st.integers(0, 5), st.integers(0, 5))
+@example("1e5", ("s",), 0, 0)
+@example("0.5", ("form", "phi"), 1, 2)
+@example("-2E-3", ("form", "phi"), 5, 5)
+@example("1e3000000", ("s",), 3, 4)
+def test_exponent_and_decimal_entries_are_schema_errors(text, matrix, i, j):
+    doc = json.loads(json.dumps(WORKED))
+    at(doc, matrix)[i][j] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        start = time.perf_counter()
+        code, err = run_cli(["invariants", path])
+        elapsed = time.perf_counter() - start
+    assert code == 2, (text, err)
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert elapsed < 0.1, (text, elapsed)

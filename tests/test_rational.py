@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
-from linkwitt.rational import (QMatrix, QPoly, _is_probable_prime,
+from linkwitt.rational import (QMatrix, QPoly, RowSpace, _is_probable_prime,
                                coordinates, count_real_roots, factor_int,
                                factor_rational_poly, is_irreducible,
                                kernel_columns, lincomb, minimal_polynomial,
@@ -462,3 +464,187 @@ def test_minimal_polynomial_of_non_cyclic_matrices():
         expected = _minpoly_by_linear_dependence(M)
         assert expected.degree() < M.rows or M.rows == 1
         assert minimal_polynomial(M) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernel against Gauss-Jordan over Q
+# ---------------------------------------------------------------------------
+
+BIG = 10 ** 30
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+def integer_kernel_cases(n):
+    return settings(derandomize=True, deadline=None, max_examples=n,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def rational_rows(draw, rows, cols):
+    """Rows of rational entries, some of them zero or combinations of two
+    earlier rows, so that ranks fall short."""
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not data):
+            data.append([Fraction(0)] * cols)
+        elif kind == "combination":
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            u, w = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+            data.append([a * x + b * y for x, y in zip(u, w)])
+        else:
+            data.append([draw(ENTRIES) for _ in range(cols)])
+    return data
+
+
+@st.composite
+def rational_matrices(draw, square=False, min_size=0, max_size=5):
+    rows = draw(st.integers(min_size, max_size))
+    cols = rows if square else draw(st.integers(0, max_size))
+    return QMatrix(rows, cols, draw(rational_rows(rows, cols)))
+
+
+def _gauss_jordan(rows, cols):
+    # the nonzero rows of the reduced row echelon form and the pivots, by
+    # Gauss-Jordan with Fractions: scale the pivot row to 1, clear the column
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _gauss_jordan_kernel(rows, cols):
+    R, pivots = _gauss_jordan(rows, cols)
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(cols)]
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
+        kernel.append(v)
+    return kernel
+
+
+@integer_kernel_cases(150)
+@given(rational_matrices())
+def test_rref_equals_gauss_jordan(M):
+    R, pivots = M.rref()
+    expected, expected_pivots = _gauss_jordan(M.data, M.cols)
+    assert pivots == expected_pivots
+    assert (R.rows, R.cols) == (M.rows, M.cols)
+    assert R.data == expected + [[0] * M.cols] * (M.rows - len(pivots))
+    assert all(type(x) is Fraction for x in R.flat())
+
+
+@integer_kernel_cases(150)
+@given(st.integers(0, 5).flatmap(
+    lambda cols: st.tuples(st.just(cols), rational_rows(6, cols),
+                           rational_rows(3, cols))))
+def test_row_space_equals_gauss_jordan(case):
+    cols, inserted, probes = case
+    space = RowSpace(cols)
+    for k, v in enumerate(inserted):
+        before = len(_gauss_jordan(inserted[:k], cols)[1])
+        after = len(_gauss_jordan(inserted[:k + 1], cols)[1])
+        assert space.add(v) == (after > before)
+        assert space.dim() == after
+    rank = space.dim()
+    for v in probes + inserted:
+        assert space.contains(v) \
+            == (len(_gauss_jordan(inserted + [v], cols)[1]) == rank)
+    R, _ = _gauss_jordan(inserted, cols)
+    assert space.basis_matrix() == QMatrix(rank, cols, R)
+
+
+@st.composite
+def spin_cases(draw):
+    """(n, matrices, vectors): random ones, or P^-1 T P for upper triangular
+    T and vectors P^-1 v with v zero past coordinate k, so that the spin is
+    a proper subspace that is not spanned by coordinate vectors."""
+    n = draw(st.integers(0, 4))
+    triangular = n > 1 and draw(st.booleans())
+    mats = [QMatrix(n, n, m) for m in draw(st.lists(
+        rational_rows(n, n), min_size=int(triangular), max_size=2))]
+    vectors = draw(rational_rows(2, n))
+    if not triangular:
+        return n, mats, vectors
+    P = QMatrix(n, n, [[draw(ENTRIES) for _ in range(n)] for _ in range(n)])
+    assume(P.det() != 0)
+    P_inv = P.inverse()
+    mats = [P_inv * QMatrix(n, n, [[x if j >= i else 0
+                                    for j, x in enumerate(row)]
+                                   for i, row in enumerate(m.data)]) * P
+            for m in mats]
+    k = draw(st.integers(1, n - 1))
+    return n, mats, [P_inv.apply(v[:k] + [0] * (n - k)) for v in vectors]
+
+
+_T = QMatrix(3, 3, [[1, 2, 3], [0, Fraction(1, 2), 1], [0, 0, Fraction(1, 3)]])
+_P = QMatrix(3, 3, [[1, Fraction(1, 2), 0], [0, 1, Fraction(2, 3)], [1, 0, 1]])
+
+
+@integer_kernel_cases(150)
+@given(spin_cases())
+@example((3, [_P.inverse() * _T * _P], [_P.inverse().col(0)]))
+def test_spin_equals_the_closure_by_gauss_jordan(case):
+    n, mats, vectors = case
+    basis = _gauss_jordan(vectors, n)[0]
+    while True:
+        grown = _gauss_jordan(basis + [m.apply(v) for m in mats
+                                       for v in basis], n)[0]
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    assert spin(mats, vectors, n).basis_matrix() == QMatrix(len(basis), n,
+                                                            basis)
+
+
+@integer_kernel_cases(150)
+@given(rational_matrices())
+def test_kernel_columns_equal_gauss_jordan(M):
+    expected = _gauss_jordan_kernel(M.data, M.cols)
+    K = kernel_columns(M)
+    assert (K.rows, K.cols) == (M.cols, len(expected))
+    assert [K.col(j) for j in range(K.cols)] == expected
+
+
+@integer_kernel_cases(150)
+@given(rational_matrices(square=True))
+def test_inverse_equals_gauss_jordan(M):
+    n = M.rows
+    augmented = [row + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(M.data)]
+    R, pivots = _gauss_jordan(augmented, 2 * n)
+    inverse = solve_or_kernel(M).inverse
+    if pivots[:n] == list(range(n)) and len(pivots) == n:
+        assert inverse == QMatrix(n, n, [row[n:] for row in R])
+    else:
+        assert inverse is None
+
+
+@integer_kernel_cases(100)
+@given(rational_matrices(square=True, min_size=1, max_size=4))
+@example(QMatrix.identity(3).scale(Fraction(1, 3)))
+@example(QMatrix(3, 3, [[0, Fraction(1, 2), Fraction(1, 2)],
+                        [0, 0, Fraction(1, 2)], [0, 0, 0]]))
+@example(QMatrix.zeros(3, 3))
+@example(QMatrix(1, 1, [[Fraction(-7, 3)]]))
+@example(QMatrix(1, 1, [[Fraction(BIG + 1, BIG - 1)]]))
+def test_minimal_polynomial_equals_the_least_dependence(M):
+    p = minimal_polynomial(M)
+    assert p.coeffs[-1] == 1
+    assert p.eval_matrix(M).is_zero()
+    assert p == _minpoly_by_linear_dependence(M)

@@ -366,3 +366,26 @@ def test_endomorphism_basis_is_closed_under_composition():
         assert basis
         products = [a * b for a in basis for b in basis]
         assert span_coordinates(basis, products) is not None
+
+
+def test_the_subquotient_checks_its_output_form_only(monkeypatch):
+    # the input of each subquotient step is a checked form, so only the
+    # induced form is validated; the Witt reduction still refuses an
+    # invalid input at its boundary
+    from linkwitt.devissage import witt_reduce
+    f = worked_example_form()
+    _, incl = spin_submodule(f.module, [[1, 0, 0, 0, 0, 0]])
+    calls = []
+    validate = SeifertForm.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SeifertForm, "validate", counted)
+    induced, _ = induced_form_on_subquotient(f, incl)
+    assert calls == [induced]
+    monkeypatch.undo()
+    singular = SeifertForm(f.module, -1, QMatrix.zeros(6, 6))
+    with pytest.raises(SeifertError):
+        witt_reduce(singular)
