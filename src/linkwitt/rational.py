@@ -1,14 +1,17 @@
 """Exact arithmetic over the rationals.
 
 Matrices, univariate polynomials, polynomial factorization and real root
-isolation, all with `fractions.Fraction` entries.  `RowSpace`, `spin`,
-`rref` (behind `coordinates`, `kernel_columns`, `solve_or_kernel`) and the
-Krylov chains of `minimal_polynomial` eliminate on primitive integer
-multiples of their rows; a reduced row echelon form depends only on the
-row space, so each result is the one Gauss-Jordan over Q gives.  No
-floating point is used anywhere; every sign determination of a real
-algebraic number goes through Sturm sequences and rational interval
-arithmetic.
+isolation.  Entries and coefficients are read and returned as
+`fractions.Fraction`, but the matrix kernels compute on integers.
+`RowSpace`, `spin`, `rref` (behind `coordinates`, `kernel_columns`,
+`solve_or_kernel`) and the Krylov chains of `minimal_polynomial` eliminate
+on primitive integer multiples of their rows; a reduced row echelon form
+depends only on the row space, so each result is the one Gauss-Jordan over
+Q gives.  Matrix products, `QPoly.eval_matrix` and `QMatrix.det` work on
+the integer matrix dM of `integer_matrix`, d the common denominator, and
+divide once, when the result is read out.  No floating point is used
+anywhere; every sign determination of a real algebraic number goes through
+Sturm sequences and rational interval arithmetic.
 """
 
 from __future__ import annotations
@@ -160,18 +163,18 @@ class QMatrix:
                        [[c * a for a in r] for r in self.data])
 
     def __mul__(self, other):
+        """Scalar multiple, or the matrix product: the integer matrices
+        d1*self and d2*other of `integer_matrix` are multiplied and the
+        product is divided by d1*d2 only when it is read out."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        # entries are Fractions already: transpose and product skip rat();
-        # an empty zip would lose the columns of a 0-row factor
-        ot = list(zip(*other.data)) if other.rows else [()] * other.cols
-        out = QMatrix.__new__(QMatrix)
-        out.rows, out.cols = self.rows, other.cols
-        out.data = [[sum((a * b for a, b in zip(r, c) if a and b), Q0)
-                     for c in ot] for r in self.data]
-        return out
+        d1, A = integer_matrix(self)
+        d2, B = integer_matrix(other)
+        # the width is passed on: a 0-row product has no row to show it
+        return _read_out(d1 * d2, _integer_product(A, B, other.cols),
+                         other.cols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,29 +218,34 @@ class QMatrix:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
+        """Bareiss's fraction-free elimination on N = dM, d the common
+        denominator: each step divides exactly by the previous pivot, the
+        last pivot is det N up to the sign of the row swaps, and
+        det M = det N / d^n."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
         n = self.rows
-        m = [list(r) for r in self.data]
-        det = Q1
+        d, sparse = integer_matrix(self)
+        m = [[0] * n for _ in range(n)]
+        for row, entries in zip(m, sparse):
+            for j, x in entries:
+                row[j] = x
+        sign, prev = 1, 1
         for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
+            p = next((i for i in range(c, n) if m[i][c]), None)
+            if p is None:
                 return Q0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
+            if p != c:
+                m[c], m[p] = m[p], m[c]
+                sign = -sign
+            pivot_row = m[c]
+            pivot = pivot_row[c]
             for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+                f = m[i][c]
+                m[i] = [(pivot * x - f * y) // prev
+                        for x, y in zip(m[i], pivot_row)]
+            prev = pivot
+        return Fraction(sign * prev, d ** n)
 
     def inverse(self) -> "QMatrix":
         res = solve_or_kernel(self)
@@ -375,6 +383,40 @@ def apply_integer(N: list, vec: list) -> list:
     """The sparse integer rows N of `integer_matrix` times an integer
     vector."""
     return [sum(a * vec[j] for j, a in row) for row in N]
+
+
+def _integer_product(A: list, B: list, cols: int) -> list:
+    """Dense integer rows of the product of the sparse integer rows A and
+    B of `integer_matrix`, B with `cols` columns."""
+    out = []
+    for entries in A:
+        row = [0] * cols
+        for k, a in entries:
+            for j, b in B[k]:
+                row[j] += a * b
+        out.append(row)
+    return out
+
+
+def _read_out(D: int, rows: list, cols: int) -> QMatrix:
+    """The QMatrix of dense integer rows, `cols` wide, divided by D > 0.
+    Each entry is built in lowest terms from its gcd with D, with no
+    parsing and no second normalization."""
+    data = []
+    for row in rows:
+        out = []
+        for x in row:
+            if x:
+                g = math.gcd(x, D)
+                q = object.__new__(Fraction)
+                q._numerator, q._denominator = x // g, D // g
+                out.append(q)
+            else:
+                out.append(Q0)
+        data.append(out)
+    M = QMatrix.__new__(QMatrix)
+    M.rows, M.cols, M.data = len(data), cols, data
+    return M
 
 
 def _primitive(v: list) -> list:
@@ -595,17 +637,31 @@ class QPoly:
         return acc
 
     def eval_matrix(self, M: QMatrix) -> QMatrix:
-        """Horner from the leading coefficient; each step adds the next
+        """p(M), by Horner from the leading coefficient on the integer
+        matrix N = dM of `integer_matrix`: with L the common denominator of
+        the coefficients c_i and k the degree, L*d^k*p(M) is the integer
+        polynomial with coefficients L*c_i*d^(k-i) at N, and it is divided
+        by L*d^k once, at the read-out.  Each step adds the next
         coefficient on the diagonal only."""
+        if not M.is_square():
+            raise ValueError("dimension mismatch")
+        n = M.rows
         if not self.coeffs:
-            return QMatrix.zeros(M.rows, M.cols)
-        acc = QMatrix.identity(M.rows).scale(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * M
+            return QMatrix.zeros(n, n)
+        d, N = integer_matrix(M)
+        k = self.degree()
+        L = math.lcm(*[c.denominator for c in self.coeffs])
+        ints = [c.numerator * (L // c.denominator) * d ** (k - i)
+                for i, c in enumerate(self.coeffs)]
+        acc = [[ints[k] if i == j else 0 for j in range(n)]
+               for i in range(n)]
+        for c in reversed(ints[:-1]):
+            acc = _integer_product([[(j, x) for j, x in enumerate(row) if x]
+                                    for row in acc], N, n)
             if c:
-                for i, row in enumerate(acc.data):
+                for i, row in enumerate(acc):
                     row[i] += c
-        return acc
+        return _read_out(L * d ** k, acc, n)
 
     def compose(self, inner: "QPoly") -> "QPoly":
         acc = QPoly.zero()

@@ -648,3 +648,125 @@ def test_minimal_polynomial_equals_the_least_dependence(M):
     assert p.coeffs[-1] == 1
     assert p.eval_matrix(M).is_zero()
     assert p == _minpoly_by_linear_dependence(M)
+
+
+# ---------------------------------------------------------------------------
+# integer products, Horner and Bareiss against Fraction references
+# ---------------------------------------------------------------------------
+
+def _fraction_product(a, b, cols):
+    # the textbook sum of products, term by term in Fractions
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def _laplace_det(rows):
+    # cofactor expansion along the first row
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * rows[0][j]
+                * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j in range(len(rows)) if rows[0][j]), Fraction(0))
+
+
+COPRIME = [[Fraction(1, 2), Fraction(3, 5)], [Fraction(-2, 7), Fraction(5, 3)]]
+COPRIME_TOO = [[Fraction(4, 11), Fraction(1, 13)],
+               [Fraction(-1, 17), Fraction(7, 19)]]
+HUGE = [[Fraction(BIG + 1, BIG - 7), Fraction(-BIG, 3)],
+        [Fraction(1, BIG), Fraction(BIG - 1, BIG + 3)]]
+
+
+@st.composite
+def product_cases(draw):
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return (QMatrix(r, k, draw(rational_rows(r, k))),
+            QMatrix(k, c, draw(rational_rows(k, c))))
+
+
+@integer_kernel_cases(150)
+@given(product_cases())
+@example((QMatrix.zeros(0, 3), QMatrix.zeros(3, 0)))
+@example((QMatrix.zeros(3, 0), QMatrix.zeros(0, 2)))
+@example((QMatrix(1, 1, [[Fraction(-7, 3)]]),
+          QMatrix(1, 1, [[Fraction(9, 14)]])))
+@example((QMatrix.zeros(3, 2), QMatrix(2, 2, COPRIME)))
+@example((QMatrix.identity(2), QMatrix(2, 2, HUGE)))
+@example((QMatrix(2, 2, COPRIME), QMatrix(2, 2, COPRIME_TOO)))
+@example((QMatrix(2, 2, HUGE), QMatrix(2, 2, HUGE)))
+def test_product_equals_the_fraction_product(case):
+    A, B = case
+    AB = A * B
+    assert (AB.rows, AB.cols) == (A.rows, B.cols)
+    assert AB.data == _fraction_product(A.data, B.data, B.cols)
+    assert all(type(x) is Fraction for x in AB.flat())
+    for c in (3, Fraction(2, 7)):
+        for M in (A * c, c * A):
+            assert M.data == [[x * c for x in row] for row in A.data]
+            assert all(type(x) is Fraction for x in M.flat())
+
+
+def test_product_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
+    with pytest.raises(ValueError):
+        QMatrix.zeros(0, 1) * QMatrix.zeros(0, 1)
+
+
+POLY_COEFFS = st.lists(ENTRIES, max_size=5)
+
+
+@integer_kernel_cases(150)
+@given(POLY_COEFFS, rational_matrices(square=True, max_size=4))
+@example([Fraction(1, 2), Fraction(-3, 5), Fraction(2, 7)],
+         QMatrix(2, 2, COPRIME))
+@example([Fraction(BIG, 3), 0, Fraction(1, BIG)], QMatrix(2, 2, HUGE))
+@example([Fraction(5, 3)], QMatrix.zeros(0, 0))
+@example([1, 2, 3], QMatrix.identity(3))
+@example([0, 0, Fraction(4, 9)], QMatrix.zeros(2, 2))
+def test_eval_matrix_equals_the_fraction_sum_of_powers(coeffs, M):
+    n = M.rows
+    before = [list(row) for row in M.data]
+    P = QPoly(coeffs).eval_matrix(M)
+    expected = [[Fraction(0)] * n for _ in range(n)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in coeffs:
+        expected = [[e + rat(c) * x for e, x in zip(erow, prow)]
+                    for erow, prow in zip(expected, power)]
+        power = _fraction_product(power, M.data, n)
+    assert (P.rows, P.cols) == (n, n)
+    assert P.data == expected
+    assert all(type(x) is Fraction for x in P.flat())
+    assert M.data == before
+    assert not any(r is s for r in P.data for s in M.data)
+
+
+def test_eval_matrix_rejects_non_square_matrices():
+    for coeffs in ([], [1], [1, 2], [0, 0, 3]):
+        for M in (QMatrix.zeros(2, 3), QMatrix.zeros(3, 2),
+                  QMatrix.zeros(0, 1)):
+            with pytest.raises(ValueError):
+                QPoly(coeffs).eval_matrix(M)
+
+
+@integer_kernel_cases(150)
+@given(rational_matrices(square=True, max_size=4))
+@example(QMatrix.zeros(0, 0))
+@example(QMatrix(2, 2, [[0, 1], [1, 0]]))
+@example(QMatrix(3, 3, [[0, 0, Fraction(1, 2)], [0, Fraction(2, 3), 0],
+                        [Fraction(3, 5), 0, 0]]))
+@example(QMatrix(3, 3, [[1, 2, 3], [2, 4, 7], [5, 1, 1]]))
+@example(QMatrix(3, 3, [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]))
+@example(QMatrix(3, 3, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+@example(QMatrix(2, 2, COPRIME))
+@example(QMatrix(2, 2, HUGE))
+@example(QMatrix.identity(4))
+def test_det_equals_the_cofactor_expansion(M):
+    det = M.det()
+    assert type(det) is Fraction
+    assert det == _laplace_det(M.data)
+
+
+def test_det_rejects_non_square_matrices():
+    for M in (QMatrix.zeros(2, 3), QMatrix.zeros(0, 1)):
+        with pytest.raises(ValueError):
+            M.det()
