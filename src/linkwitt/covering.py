@@ -63,8 +63,8 @@ class GroupRingElem:
             for w, c in terms.items():
                 c = rat(c)
                 if c:
-                    self.terms[word_reduce(w)] = \
-                        self.terms.get(word_reduce(w), Q0) + c
+                    w = word_reduce(w)
+                    self.terms[w] = self.terms.get(w, Q0) + c
             self.terms = {w: c for w, c in self.terms.items() if c}
 
     @staticmethod

@@ -31,10 +31,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, QMatrix, RowSpace, factor_int,
-                       apply_integer, factor_rational_poly, integer_matrix,
+from .rational import (Q0, QMatrix, RowSpace, apply_integer,
+                       factor_rational_poly, hilbert_symbol, integer_matrix,
                        kernel_columns, lincomb, minimal_polynomial,
-                       solve_or_kernel, span_coordinates, spin)
+                       relevant_places, solve_or_kernel, span_coordinates,
+                       spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
                       SeifertMorphism, find_isomorphism, hom_space,
                       induced_form_on_subquotient, perp_basis, quotient_module,
@@ -120,14 +121,13 @@ def _element_stream(V: SeifertModule):
     for a, b in itertools.combinations(gens, 2):
         yield a * b + b
     rng = random.Random(_STREAM_RNG_SEED)
-    words = [g for g in gens]
-    for _ in range(12):
+    for _ in range(4):
         # short random words with small integer coefficients
         terms, coeffs = [], []
         for _ in range(rng.randint(2, 4)):
             w = QMatrix.identity(V.dim)
             for _ in range(rng.randint(1, 3)):
-                w = w * rng.choice(words)
+                w = w * rng.choice(gens)
             terms.append(w)
             coeffs.append(rng.randint(-3, 3))
         yield lincomb(coeffs, terms)
@@ -241,9 +241,8 @@ def _semisimple_witness(V: SeifertModule):
 
     # a commutative End(V) is a product of number fields here (the acting
     # algebra is semisimple), so the candidates hold a primitive element:
-    # its minimal polynomial is reducible or certifies a field
-    commutative = all((a * b - b * a).is_zero()
-                      for a, b in itertools.combinations(ends, 2))
+    # its minimal polynomial is reducible or certifies a field (its powers
+    # span End(V), which is then commutative)
     for coeffs in endofield.primitive_candidates(k):
         b = lincomb(coeffs, ends)
         q = minimal_polynomial(b)
@@ -251,7 +250,7 @@ def _semisimple_witness(V: SeifertModule):
         if len(factors) > 1 or factors[0][1] > 1:
             p1 = factors[0][0]
             return witness_from(p1.eval_matrix(b))
-        if commutative and q.degree() == k:
+        if q.degree() == k:
             # primitive element with irreducible minimal polynomial:
             # End(V) is a number field, V is simple
             return True, SimpleCertificate(
@@ -337,17 +336,8 @@ def _scalar_of(m: QMatrix):
 
 
 def _quaternion_is_division(a: Fraction, b: Fraction) -> bool:
-    from .wittinv import hilbert_symbol
-    places = {2, "inf"}
-    for v in (a, b):
-        for p in _prime_support(v):
-            places.add(p)
-    return any(hilbert_symbol(a, b, p) == -1 for p in places)
-
-
-def _prime_support(x: Fraction):
-    n = abs(x.numerator * x.denominator)
-    return factor_int(n).keys() if n > 1 else []
+    return any(hilbert_symbol(a, b, p) == -1
+               for p in relevant_places([a, b]))
 
 
 def _solve_conic(a: Fraction, b: Fraction):
@@ -607,7 +597,7 @@ def _pair_cancels(gr: IsotypicGroup, f1: SeifertForm,
     # a norm
     b = SeifertForm(gr.module, f1.zeta, f1.phi.scale(f1.zeta))
     g2 = endofield.transported_scalar(nf, b, f2)
-    norm = endofield.norm_class(nf, endofield.field_neg(nf, g2))
+    norm = endofield.norm_class(nf, -g2)
     if norm is not None:
         return norm
     # undecided: bounded search for an explicit isometry u with

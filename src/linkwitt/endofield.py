@@ -3,9 +3,10 @@ transport and norm classes.
 
 The endomorphism ring of a simple module over Q is a division algebra of
 finite rational dimension, read off `hom_space` with the identity first.
-Commutative rings are presented as number fields by a primitive element; a
-nonsingular form b induces the involution f -> b^{-1} f^T b, expressed as a
-polynomial in the primitive element.  Transporting an isotypic family of
+Commutative rings are presented as number fields by a primitive element,
+whose degree dim End(M) itself proves commutativity; a nonsingular form b
+induces the involution f -> b^{-1} f^T b, expressed as a polynomial in the
+primitive element, whose fixed field has index 2 unless it is trivial.  Transporting an isotypic family of
 forms along Hom(M, -) yields a hermitian matrix over the endomorphism field,
 on which the classical Witt invariants are computed downstream.
 `norm_class` is the one decision whether a field element is a norm (a
@@ -24,8 +25,8 @@ from fractions import Fraction
 
 from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace,
                        factor_rational_poly, is_irreducible, kernel_columns,
-                       lincomb, minimal_polynomial, solve_or_kernel,
-                       span_coordinates, squarefree_part)
+                       lincomb, minimal_polynomial, norm_class_test_quadratic,
+                       solve_or_kernel, span_coordinates, squarefree_part)
 from .seifert import SeifertForm, SeifertModule, hom_space
 
 
@@ -147,11 +148,8 @@ def primitive_candidates(k: int):
 def as_number_field(ring: EndomorphismRing):
     """Present a commutative endomorphism ring as a number field via a
     primitive element; classify noncommutative rings and return a
-    NoncommutativeEndomorphism marker instead."""
-    if not ring.is_commutative():
-        center = len(algebra_center(ring.basis))
-        quaternion = (ring.dim == 4 * center)
-        return NoncommutativeEndomorphism(ring, center, quaternion)
+    NoncommutativeEndomorphism marker instead.  A theta of degree dim End(M)
+    proves End(M) = Q[theta] commutative; else commutativity is tested."""
     d = ring.dim
     for coeffs in primitive_candidates(d):
         theta = lincomb(coeffs, ring.basis)
@@ -161,6 +159,10 @@ def as_number_field(ring: EndomorphismRing):
                 raise EndomorphismError("endomorphism ring is not a field "
                                         "(reducible minimal polynomial)")
             return NumberFieldWithInvolution(mp, theta, ring.module)
+    if not ring.is_commutative():
+        center = len(algebra_center(ring.basis))
+        quaternion = (ring.dim == 4 * center)
+        return NoncommutativeEndomorphism(ring, center, quaternion)
     raise EndomorphismError("endomorphism ring is not a field "
                             "(no primitive element)")
 
@@ -184,10 +186,6 @@ def field_reduce(nf: NumberFieldWithInvolution, p: QPoly) -> QPoly:
 
 def field_mul(nf, a: QPoly, b: QPoly) -> QPoly:
     return (a * b) % nf.minpoly
-
-
-def field_neg(nf, a: QPoly) -> QPoly:
-    return -a
 
 
 def field_inv(nf, a: QPoly) -> QPoly:
@@ -243,18 +241,22 @@ def involution_from_form(nf: NumberFieldWithInvolution,
         raise EndomorphismError("induced map is not an involution")
     out = NumberFieldWithInvolution(nf.minpoly, nf.embedding, nf.module,
                                     image)
-    out.fixed_field_degree = len(fixed_field_basis(out))
+    # Artin: a field automorphism of order 2 fixes a subfield of index 2
+    out.fixed_field_degree = (nf.degree if out.involution_is_trivial()
+                              else nf.degree // 2)
     return out
 
 
 def fixed_field_basis(nf: NumberFieldWithInvolution) -> list:
-    """Basis of Fix(involution) as polynomials in the generator."""
+    """Basis of Fix(involution) as polynomials in the generator: the kernel
+    of conj - 1 on 1, x, .., x^(d-1), with conj(x^k) = conj(x)^k."""
     d = nf.degree
     rows = []
+    conj_xk = QPoly.one()
     for k in range(d):
-        xk = QPoly([Q0] * k + [Q1])
-        diff = (xk.compose(nf.involution_image) % nf.minpoly) - xk
+        diff = conj_xk - QPoly([Q0] * k + [Q1])
         rows.append([diff.coeff(i) for i in range(d)])
+        conj_xk = field_mul(nf, conj_xk, nf.involution_image)
     K = kernel_columns(QMatrix.from_rows(rows).transpose())
     return [QPoly(K.col(j)) for j in range(K.cols)]
 
@@ -379,6 +381,5 @@ def norm_class(nf: NumberFieldWithInvolution, d: QPoly) -> bool | None:
         return None
     # Fix = Q: d and delta are rational, E = Q(sqrt(delta)) with delta not
     # a square
-    from .wittinv import norm_class_test_quadratic
     m = squarefree_part(relative_discriminant(nf).coeff(0))
     return norm_class_test_quadratic(d.coeff(0), m)

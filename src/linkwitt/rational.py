@@ -1,7 +1,8 @@
 """Exact arithmetic over the rationals.
 
-Matrices, univariate polynomials, polynomial factorization and real root
-isolation.  Entries and coefficients are read and returned as
+Matrices, univariate polynomials, polynomial factorization, real root
+isolation, integer factorization, square classes, and the places of Q with
+their Hilbert symbols.  Entries and coefficients are read and returned as
 `fractions.Fraction`, but the matrix kernels compute on integers.
 `RowSpace`, `spin`, `rref` (behind `coordinates`, `kernel_columns`,
 `solve_or_kernel`) and the Krylov chains of `minimal_polynomial` eliminate
@@ -1127,17 +1128,19 @@ def real_root_data(p: QPoly, interval=None):
     if sf.degree() <= 0:
         return 0, []
     chain = sturm_chain(sf)
+
+    def var(x):
+        return _sign_variations(chain, x)
+
     if interval is None:
         B = root_bound(sf)
         lo, hi = -B, B
     else:
+        # closed interval: an endpoint that is a root moves outward, but
+        # only as far as no other root lies between it and its new place
         lo, hi = rat(interval[0]), rat(interval[1])
-        # nudge endpoints off roots
-        lo = _nudge_off_root(sf, lo, down=True)
-        hi = _nudge_off_root(sf, hi, down=False)
-
-    def var(x):
-        return _sign_variations(chain, x)
+        lo = _nudge_off_root(sf, var, lo, down=True)
+        hi = _nudge_off_root(sf, var, hi, down=False)
 
     intervals = []
 
@@ -1160,12 +1163,20 @@ def real_root_data(p: QPoly, interval=None):
     return len(intervals), intervals
 
 
-def _nudge_off_root(p: QPoly, x: Fraction, down: bool) -> Fraction:
+def _nudge_off_root(p: QPoly, var, x: Fraction, down: bool) -> Fraction:
+    """x, or for a root x of the squarefree p the first of x -+ 1/2, 1/4, ..
+    (minus when `down`) that is no root and has no root between it and x;
+    var(a) - var(b) counts the roots of p in (a, b]."""
+    if p.eval(x) != 0:
+        return x
     step = Fraction(1, 2)
-    while p.eval(x) == 0:
-        x = x - step if down else x + step
+    while True:
+        y = x - step if down else x + step
+        # (y, x] must hold x alone, (x, y] no root
+        lo, hi = (y, x) if down else (x, y)
+        if p.eval(y) != 0 and var(lo) - var(hi) == int(down):
+            return y
         step /= 2
-    return x
 
 
 def refine_isolating_interval(p: QPoly, interval, max_width: Fraction):
@@ -1227,7 +1238,7 @@ def sign_at_root(g: QPoly, h: QPoly, interval) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integers: factorization, squarefree parts, Hilbert symbols live on top
+# integers: factorization, square classes, places and Hilbert symbols
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -1376,3 +1387,87 @@ def squarefree_part(x) -> int:
         if e % 2:
             out *= p
     return sign * out
+
+
+def _valuation(x: Fraction, p: int):
+    """(v, u) with x = p^v * u and u a p-unit."""
+    num, den = x.numerator, x.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, Fraction(num, den)
+
+
+def _legendre(u: Fraction, p: int) -> int:
+    """Legendre symbol of a p-unit rational."""
+    a = u.numerator * pow(u.denominator, -1, p) % p
+    t = pow(a, (p - 1) // 2, p)
+    return 1 if t == 1 else -1
+
+
+def _unit_mod(u: Fraction, p_power: int) -> int:
+    return u.numerator * pow(u.denominator, -1, p_power) % p_power
+
+
+def hilbert_symbol(a, b, place) -> int:
+    """(a, b)_v in {+1, -1}: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
+    solution over the completion at the place (a prime or "inf")."""
+    a, b = rat(a), rat(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol of zero")
+    if place == "inf":
+        return -1 if (a < 0 and b < 0) else 1
+    p = place
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"bad place {place!r}")
+    alpha, u = _valuation(a, p)
+    beta, v = _valuation(b, p)
+    if p == 2:
+        eps_u = (_unit_mod(u, 4) - 1) // 2
+        eps_v = (_unit_mod(v, 4) - 1) // 2
+        om_u = 1 if _unit_mod(u, 8) in (3, 5) else 0
+        om_v = 1 if _unit_mod(v, 8) in (3, 5) else 0
+        exp = eps_u * eps_v + alpha * om_v + beta * om_u
+        return -1 if exp % 2 else 1
+    sign = 1
+    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
+        sign = -sign
+    if beta % 2:
+        sign *= _legendre(u, p)
+    if alpha % 2:
+        sign *= _legendre(v, p)
+    return sign
+
+
+def relevant_places(values) -> list:
+    """2 and the primes of the nonzero rationals `values`, ascending, then
+    "inf": the places where their Hilbert symbols can be -1."""
+    places = {2}
+    for x in values:
+        x = rat(x)
+        for n in (abs(x.numerator), x.denominator):
+            if n > 1:
+                places.update(factor_int(n))
+    out = sorted(places)
+    out.append("inf")
+    return out
+
+
+def norm_class_test_quadratic(d, m: int) -> bool:
+    """Is d a norm from Q(sqrt(m))?  m a squarefree integer, not a square.
+
+    Finitely many symbol checks suffice by bimultiplicativity and the
+    product formula: d is a norm iff (d, m)_v = +1 at 2, infinity and every
+    odd prime dividing d or m.
+    """
+    d = rat(d)
+    if d == 0:
+        raise ValueError("zero is not a unit")
+    if m == 1 or m == 0:
+        raise ValueError("m must define a quadratic extension")
+    places = relevant_places([d, Fraction(m)])
+    return all(hilbert_symbol(d, m, v) == 1 for v in places)

@@ -3,97 +3,35 @@ involution: rank mod 2, signatures at the relevant real places, discriminant
 class, and the Hasse-Witt invariant over Q.
 
 Signs of real algebraic numbers are determined exactly through Sturm
-isolation and rational interval arithmetic.  Discriminant classes are
-decided by `endofield.norm_class`: square classes over Q by squarefree
-normalization, norm classes of quadratic extensions of Q by a finite
-Hilbert-symbol criterion (`norm_class_test_quadratic`).
+isolation and rational interval arithmetic; the diagonal entries and the
+relative discriminant are written in one primitive element of the fixed
+field by one solve.  Discriminant classes are decided by
+`endofield.norm_class`: square classes over Q by squarefree normalization,
+norm classes of quadratic extensions of Q by a finite Hilbert-symbol
+criterion.  Hilbert symbols and their places live in `rational`;
+`hilbert_symbol` and `norm_class_test_quadratic` are re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, factor_int,
-                       minimal_polynomial, rat, rat_str, real_root_data,
-                       sign_at_root, squarefree_part)
+from .rational import (Q0, Q1, QMatrix, QPoly, coordinates, hilbert_symbol,
+                       minimal_polynomial, norm_class_test_quadratic, rat,
+                       rat_str, real_root_data, relevant_places, sign_at_root,
+                       squarefree_part)
 from .seifert import SeifertForm
 from . import endofield
+from .devissage import witt_reduce
 from .endofield import (EndomorphismError, HermitianFormOverE,
                         NoncommutativeEndomorphism, field_conj, field_inv,
                         field_mul, field_reduce)
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbols and friends
+# Hasse-Witt invariant over Q
 # ---------------------------------------------------------------------------
-
-def _valuation(x: Fraction, p: int):
-    """(v, u) with x = p^v * u and u a p-unit."""
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _legendre(u: Fraction, p: int) -> int:
-    """Legendre symbol of a p-unit rational."""
-    a = u.numerator * pow(u.denominator, -1, p) % p
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
-def _unit_mod(u: Fraction, p_power: int) -> int:
-    return u.numerator * pow(u.denominator, -1, p_power) % p_power
-
-
-def hilbert_symbol(a, b, place) -> int:
-    """(a, b)_v in {+1, -1}: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
-    solution over the completion at the place (a prime or "inf")."""
-    a, b = rat(a), rat(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol of zero")
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"bad place {place!r}")
-    alpha, u = _valuation(a, p)
-    beta, v = _valuation(b, p)
-    if p == 2:
-        eps_u = (_unit_mod(u, 4) - 1) // 2
-        eps_v = (_unit_mod(v, 4) - 1) // 2
-        om_u = 1 if _unit_mod(u, 8) in (3, 5) else 0
-        om_v = 1 if _unit_mod(v, 8) in (3, 5) else 0
-        exp = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if exp % 2 else 1
-    sign = 1
-    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= _legendre(u, p)
-    if alpha % 2:
-        sign *= _legendre(v, p)
-    return sign
-
-
-def _relevant_places(values) -> list:
-    places = {2}
-    for x in values:
-        x = rat(x)
-        for n in (abs(x.numerator), x.denominator):
-            if n > 1:
-                places.update(factor_int(n))
-    out = sorted(places)
-    out.append("inf")
-    return out
-
 
 def hasse_witt_over_q(diag) -> list:
     """Hasse-Witt invariant of a diagonal form over Q with the trivial
@@ -102,7 +40,7 @@ def hasse_witt_over_q(diag) -> list:
     entries = [rat(x) for x in diag]
     if any(x == 0 for x in entries):
         raise ValueError("singular diagonal entry")
-    places = _relevant_places(entries)
+    places = relevant_places(entries)
     nontrivial = []
     product = 1
     for v in places:
@@ -114,22 +52,6 @@ def hasse_witt_over_q(diag) -> list:
             nontrivial.append((v, -1))
     assert product == 1, "Hilbert product formula violated"
     return nontrivial
-
-
-def norm_class_test_quadratic(d, m: int) -> bool:
-    """Is d a norm from Q(sqrt(m))?  m a squarefree integer, not a square.
-
-    Finitely many symbol checks suffice by bimultiplicativity and the
-    product formula: d is a norm iff (d, m)_v = +1 at 2, infinity and every
-    odd prime dividing d or m.
-    """
-    d = rat(d)
-    if d == 0:
-        raise ValueError("zero is not a unit")
-    if m == 1 or m == 0:
-        raise ValueError("m must define a quadratic extension")
-    places = _relevant_places([d, Fraction(m)])
-    return all(hilbert_symbol(d, m, v) == 1 for v in places)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +149,8 @@ def _element_minpoly(nf, beta: QPoly) -> QPoly:
         .transpose())
 
 
-def _in_powers_of(nf, beta: QPoly, f: int, xi: QPoly) -> QPoly:
-    """Write xi as a polynomial of degree < f in beta."""
+def _in_powers_of(nf, beta: QPoly, f: int, xis: list) -> list:
+    """Write each xi as a polynomial of degree < f in beta: one solve."""
     d = nf.degree
     vecs = []
     current = QPoly.one()
@@ -236,10 +158,11 @@ def _in_powers_of(nf, beta: QPoly, f: int, xi: QPoly) -> QPoly:
         vecs.append([current.coeff(i) for i in range(d)])
         current = field_mul(nf, current, beta)
     A = QMatrix.from_rows(vecs).transpose()
-    sol = coordinates(A, QMatrix.column([xi.coeff(i) for i in range(d)]))
+    sol = coordinates(A, QMatrix.from_rows(
+        [[xi.coeff(i) for i in range(d)] for xi in xis]).transpose())
     if sol is None:
         raise EndomorphismError("element outside the fixed field")
-    return QPoly(sol.col(0))
+    return [QPoly(sol.col(j)) for j in range(len(xis))]
 
 
 def _fixed_field_primitive(nf) -> tuple:
@@ -269,18 +192,11 @@ def signatures(h: HermitianFormOverE, diag=None) -> list:
     return _signatures_nontrivial(nf, diag)
 
 
-def _sign_of(entry: QPoly, minpoly: QPoly, interval) -> int:
-    if entry.degree() <= 0:
-        c = entry.coeff(0)
-        return 1 if c > 0 else -1
-    return sign_at_root(entry, minpoly, interval)
-
-
 def _signatures_trivial(nf, diag) -> list:
     _, intervals = real_root_data(nf.minpoly)
     out = []
     for iv in intervals:
-        sig = sum(_sign_of(d, nf.minpoly, iv) for d in diag)
+        sig = sum(sign_at_root(d, nf.minpoly, iv) for d in diag)
         label = f"({rat_str(iv[0])},{rat_str(iv[1])})"
         out.append((label, sig))
     return out
@@ -301,14 +217,13 @@ def _signatures_nontrivial(nf, diag) -> list:
         return [("rational place", sum(vals))]
     beta, k_poly = _fixed_field_primitive(nf)
     f = nf.fixed_field_degree
-    delta_b = _in_powers_of(nf, beta, f, delta)
-    diag_b = [_in_powers_of(nf, beta, f, d) for d in diag]
+    delta_b, *diag_b = _in_powers_of(nf, beta, f, [delta] + list(diag))
     _, intervals = real_root_data(k_poly)
     out = []
     for iv in intervals:
-        if _sign_of(delta_b, k_poly, iv) > 0:
+        if sign_at_root(delta_b, k_poly, iv) > 0:
             continue    # the extension stays real: no signature here
-        sig = sum(_sign_of(db, k_poly, iv) for db in diag_b)
+        sig = sum(sign_at_root(db, k_poly, iv) for db in diag_b)
         label = f"({rat_str(iv[0])},{rat_str(iv[1])})"
         out.append((label, sig))
     return out
@@ -383,9 +298,7 @@ class InvariantReport:
 
 def invariant_report(decomposition) -> InvariantReport:
     """One report per isotypic piece plus the global verdict."""
-    pieces = []
-    for group in decomposition.groups:
-        pieces.append(_piece_report(group))
+    pieces = [_piece_report(group) for group in decomposition.groups]
     nontrivial = any(p.defined_nontrivial() for p in pieces)
     unsupported = any(p.status.startswith("unsupported") for p in pieces)
     partial = any(p.status.startswith("partial") for p in pieces)
@@ -438,6 +351,5 @@ def _piece_report(group) -> PieceReport:
 def analyze_form(f: SeifertForm, seed: int = 0) -> InvariantReport:
     """Full pipeline: reduction to simple pieces, Morita transport, table
     invariants, global verdict."""
-    from .devissage import witt_reduce
     decomposition = witt_reduce(f, seed)
     return invariant_report(decomposition)

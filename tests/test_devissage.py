@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkwitt.rational import QMatrix
 from linkwitt.seifert import (SeifertError, SeifertForm, SeifertModule,
@@ -592,3 +593,22 @@ def test_the_involution_is_that_of_any_form_of_the_group():
             assert all(image == images[0] for image in images)
             checked += 1
     assert checked >= 3
+
+
+NONZERO_RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                 max_denominator=10 ** 4).filter(bool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(NONZERO_RATIONALS, NONZERO_RATIONALS)
+def test_quaternion_division_over_the_former_place_set(a, b):
+    # the places were {2, inf} and the primes of |num * den| of a and b
+    import linkwitt.devissage as dv
+    from linkwitt.rational import factor_int, hilbert_symbol
+    places = {2, "inf"}
+    for v in (a, b):
+        n = abs(v.numerator * v.denominator)
+        if n > 1:
+            places.update(factor_int(n))
+    assert dv._quaternion_is_division(a, b) == any(
+        hilbert_symbol(a, b, p) == -1 for p in places)

@@ -479,3 +479,100 @@ def test_norm_class_undecided_over_a_degree_four_knot_field():
             assert norm_class(nf, d) is None
         # an element the involution moves is proven not a norm
         assert norm_class(nf, QPoly.x()) is False
+
+
+def _sqrt_2_3_5_ring():
+    # Q(sqrt2, sqrt3, sqrt5) on the basis sqrt(d), d | 30
+    import math
+    ds = [1, 2, 3, 5, 6, 10, 15, 30]
+
+    def product(i, j):
+        g = math.gcd(ds[i], ds[j])
+        return g, ds.index(ds[i] * ds[j] // (g * g))
+
+    return _regular_ring(product, 8)
+
+
+def _knot_groups(count):
+    # the isotypic groups of genus-2 and genus-3 knot forms, in turn
+    from linkwitt.devissage import witt_reduce
+    from support import knot_form
+    groups = []
+    seed = 0
+    while len(groups) < count:
+        genus = 2 + seed % 2
+        groups += witt_reduce(knot_form(random.Random(seed), genus)).groups
+        seed += 1
+    return groups[:count]
+
+
+def test_as_number_field_decides_fields_without_testing_commutativity(
+        monkeypatch):
+    # a primitive element of degree dim End(M) proves End(M) = Q[theta]
+    # commutative: no pairwise product of the basis is formed
+    rings = [endomorphism_ring(worked_example_simple()), _sqrt_2_3_5_ring()]
+    rings += [endomorphism_ring(group.module, assume_simple=True)
+              for group in _knot_groups(10)]
+
+    def refused(self):
+        raise AssertionError("is_commutative called")
+
+    monkeypatch.setattr(EndomorphismRing, "is_commutative", refused)
+    for ring in rings:
+        assert as_number_field(ring).degree == ring.dim
+    monkeypatch.undo()
+    # without a primitive element commutativity still decides
+    nc = as_number_field(_quaternion_regular_ring())
+    assert isinstance(nc, NoncommutativeEndomorphism)
+    assert nc.is_quaternion and nc.center_dim == 1
+
+    def nilpotent(i, j):
+        if i == 0 or j == 0:
+            return 1, i + j
+        return 0, 0
+
+    with pytest.raises(EndomorphismError, match="not a field"):
+        as_number_field(_regular_ring(nilpotent, 3))
+
+
+def test_fixed_field_degree_is_artins_without_a_kernel(monkeypatch):
+    # a field automorphism of order 2 fixes a subfield of index 2, so the
+    # involution is set up without the fixed field's kernel
+    import linkwitt.endofield as ef
+    from linkwitt.devissage import witt_reduce
+    from support import conjugate_form, knot_form
+    rng = random.Random(14)
+    forms = []
+    for seed in range(8):
+        k = knot_form(random.Random(seed), 2 + seed % 4 // 3)
+        forms += [k, conjugate_form(rng, k)]
+    forms += [random_form(rng, mu, rng.randint(2, 4), zeta)
+              for mu in (1, 2, 3) for zeta in (1, -1) for _ in range(2)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    kinds = []
+    for f in forms:
+        for group in witt_reduce(f).groups:
+            nf = as_number_field(endomorphism_ring(group.module,
+                                                   assume_simple=True))
+            if isinstance(nf, NoncommutativeEndomorphism):
+                continue
+            zeta = group.forms[0].zeta
+            b = SeifertForm(group.module, zeta,
+                            group.forms[0].phi.scale(zeta))
+            with monkeypatch.context() as m:
+                for name in ("fixed_field_basis", "kernel_columns"):
+                    m.setattr(ef, name, counted(name, getattr(ef, name)))
+                nf = involution_from_form(nf, b)
+            assert calls == []
+            assert nf.fixed_field_degree == len(ef.fixed_field_basis(nf))
+            kinds.append((nf.degree, nf.fixed_field_degree))
+    # metabolic random forms leave no group
+    assert len(forms) == 28 and len(kinds) >= 15
+    assert {(1, 1), (2, 1), (4, 2), (6, 3)} <= set(kinds)

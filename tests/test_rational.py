@@ -770,3 +770,34 @@ def test_det_rejects_non_square_matrices():
     for M in (QMatrix.zeros(2, 3), QMatrix.zeros(0, 1)):
         with pytest.raises(ValueError):
             M.det()
+
+
+@st.composite
+def linear_products(draw):
+    """(p, roots, lo, hi): p a product of distinct rational linear factors
+    and lo < hi rationals, often roots of p themselves."""
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=10)
+    roots = draw(st.lists(values, min_size=1, max_size=5, unique=True))
+    ends = st.one_of(st.sampled_from(roots), values)
+    lo, hi = draw(ends), draw(ends)
+    assume(lo != hi)
+    p = QPoly.one()
+    for r in roots:
+        p = p * QPoly([-r, 1])
+    return p, roots, min(lo, hi), max(lo, hi)
+
+
+@integer_kernel_cases(300)
+@given(linear_products())
+@example((QPoly([0, Fraction(3, 10), 1]), [Fraction(0), Fraction(-3, 10)],
+          Fraction(0), Fraction(1)))
+@example((QPoly([0, Fraction(-3, 10), 1]), [Fraction(0), Fraction(3, 10)],
+          Fraction(-1), Fraction(0)))
+def test_real_roots_in_a_closed_interval(case):
+    # an endpoint that is a root counts, and moving it off that root must
+    # not pass another one
+    p, roots, lo, hi = case
+    count, intervals = real_root_data(p, interval=(lo, hi))
+    assert count == sum(1 for r in roots if lo <= r <= hi)
+    for a, b in intervals:
+        assert p.eval(a) * p.eval(b) < 0
