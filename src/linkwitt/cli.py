@@ -317,9 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args keeps no state between calls, each call fills a new
+# namespace from the defaults
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.degree < 0:
         print("schema error: --degree must be nonnegative", file=sys.stderr)
         return EXIT_SCHEMA

@@ -8,9 +8,12 @@ their Hilbert symbols.  Entries and coefficients are read and returned as
 `solve_or_kernel`) and the Krylov chains of `minimal_polynomial` eliminate
 on primitive integer multiples of their rows; a reduced row echelon form
 depends only on the row space, so each result is the one Gauss-Jordan over
-Q gives.  Matrix products, `QPoly.eval_matrix` and `QMatrix.det` work on
-the integer matrix dM of `integer_matrix`, d the common denominator, and
-divide once, when the result is read out.  No floating point is used
+Q gives.  Matrix products, `QPoly.eval_matrix`, `QMatrix.det`, `spin` and
+`minimal_polynomial` work on the integer matrix dM of `integer_matrix`, d
+the common denominator, and divide once, when the result is read out; dM
+is computed at most once per matrix and kept on it.  Builders whose
+entries are Fractions already skip the parsing constructor
+(`QMatrix._of`).  No floating point is used
 anywhere; every sign determination of a real algebraic number goes through
 Sturm sequences and rational interval arithmetic.
 """
@@ -61,9 +64,17 @@ def rat_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 class QMatrix:
-    """Dense rational matrix, row-major.  Treated as immutable by convention."""
+    """Dense rational matrix, row-major, of `Fraction` entries.
 
-    __slots__ = ("rows", "cols", "data")
+    Immutable: nothing writes to `data`, its rows or its entries outside
+    the two constructors (`tests/test_immutable_matrices.py` checks this),
+    because `integer_matrix` keeps the integer form of each matrix in
+    `_ints` and a write would leave that stale.  `QMatrix(...)` parses its
+    entries with `rat` and checks the shape; `QMatrix._of` wraps rows that
+    are already fresh lists of `Fraction`s of the right shape, with no
+    copy."""
+
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -74,15 +85,24 @@ class QMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._ints = None
+
+    @staticmethod
+    def _of(rows: int, cols: int, data: list) -> "QMatrix":
+        """The trusted constructor: `data` is `rows` new lists of `cols`
+        `Fraction`s each, owned by the result from now on."""
+        M = object.__new__(QMatrix)
+        M.rows, M.cols, M.data, M._ints = rows, cols, data, None
+        return M
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, [[Q0] * cols for _ in range(rows)])
+        return QMatrix._of(rows, cols, [[Q0] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, [[Q1 if i == j else Q0 for j in range(n)]
-                              for i in range(n)])
+        return QMatrix._of(n, n, [[Q1 if i == j else Q0 for j in range(n)]
+                                  for i in range(n)])
 
     @staticmethod
     def from_rows(rows) -> "QMatrix":
@@ -106,7 +126,7 @@ class QMatrix:
                 out[i0 + i][j0:j0 + b.cols] = list(b.data[i])
             i0 += b.rows
             j0 += b.cols
-        return QMatrix(r, c, out)
+        return QMatrix._of(r, c, out)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
@@ -122,9 +142,9 @@ class QMatrix:
         return [x for row in self.data for x in row]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       [[self.data[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
+        return QMatrix._of(self.cols, self.rows,
+                           [[self.data[i][j] for i in range(self.rows)]
+                            for j in range(self.cols)])
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
@@ -143,25 +163,25 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.data, other.data)])
+        return QMatrix._of(self.rows, self.cols,
+                           [[a + b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.data, other.data)])
+        return QMatrix._of(self.rows, self.cols,
+                           [[a - b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols,
-                       [[-a for a in r] for r in self.data])
+        return QMatrix._of(self.rows, self.cols,
+                           [[-a for a in r] for r in self.data])
 
     def scale(self, c) -> "QMatrix":
         c = rat(c)
-        return QMatrix(self.rows, self.cols,
-                       [[c * a for a in r] for r in self.data])
+        return QMatrix._of(self.rows, self.cols,
+                           [[c * a for a in r] for r in self.data])
 
     def __mul__(self, other):
         """Scalar multiple, or the matrix product: the integer matrices
@@ -192,14 +212,14 @@ class QMatrix:
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
-        return QMatrix(self.rows, self.cols + other.cols,
-                       [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return QMatrix._of(self.rows, self.cols + other.cols,
+                           [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("dimension mismatch")
-        return QMatrix(self.rows + other.rows, self.cols,
-                       [list(r) for r in self.data + other.data])
+        return QMatrix._of(self.rows + other.rows, self.cols,
+                           [list(r) for r in self.data + other.data])
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot column list).  The
@@ -212,8 +232,8 @@ class QMatrix:
                 break
             _insert(space.rows, space.pivots, _integer_row(row))
         zeros = [[Q0] * self.cols for _ in range(self.rows - space.dim())]
-        return (QMatrix(self.rows, self.cols,
-                        space.basis_matrix().data + zeros), space.pivots)
+        return (QMatrix._of(self.rows, self.cols,
+                            space.basis_matrix().data + zeros), space.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -302,7 +322,7 @@ def solve_or_kernel(M: QMatrix, b: QMatrix | None = None) -> SolveResult:
     inverse = None
     if want_inverse and rank == n == m:
         off = m + (1 if b is not None else 0)
-        inverse = QMatrix(n, n, [row[off:off + n] for row in R.data])
+        inverse = QMatrix._of(n, n, [row[off:off + n] for row in R.data])
     return SolveResult(rank, kernel, particular, inverse)
 
 
@@ -338,7 +358,8 @@ def coordinates(B: QMatrix, M: QMatrix) -> QMatrix | None:
     R, pivots = B.hstack(M).rref()
     if pivots and pivots[-1] >= B.cols:
         return None
-    return QMatrix(B.cols, M.cols, _solution_rows(R, pivots, B.cols, M.cols))
+    return QMatrix._of(B.cols, M.cols,
+                       _solution_rows(R, pivots, B.cols, M.cols))
 
 
 def span_coordinates(basis: list, mats: list) -> QMatrix | None:
@@ -369,15 +390,21 @@ def lincomb(coeffs, mats: list) -> QMatrix:
         if c:
             for arow, brow in zip(acc, B.data):
                 arow[:] = [a + c * x for a, x in zip(arow, brow)]
-    return QMatrix(rows, cols, acc)
+    return QMatrix._of(rows, cols, acc)
 
 
 def integer_matrix(M: QMatrix):
     """(d, N): d the least common denominator of the entries of M and N = dM
-    as sparse integer rows, a list of (column, entry) pairs per row."""
-    d = math.lcm(*[x.denominator for row in M.data for x in row])
-    return d, [[(j, x.numerator * (d // x.denominator))
-                for j, x in enumerate(row) if x] for row in M.data]
+    as sparse integer rows, a list of (column, entry) pairs per row.  It is
+    computed once per matrix and kept on it (`QMatrix._ints`), so every
+    later call returns the same object: read it, never change it."""
+    ints = M._ints
+    if ints is None:
+        d = math.lcm(*[x.denominator for row in M.data for x in row])
+        ints = M._ints = (d, [[(j, x.numerator * (d // x.denominator))
+                               for j, x in enumerate(row) if x]
+                              for row in M.data])
+    return ints
 
 
 def apply_integer(N: list, vec: list) -> list:
@@ -415,9 +442,7 @@ def _read_out(D: int, rows: list, cols: int) -> QMatrix:
             else:
                 out.append(Q0)
         data.append(out)
-    M = QMatrix.__new__(QMatrix)
-    M.rows, M.cols, M.data = len(data), cols, data
-    return M
+    return QMatrix._of(len(data), cols, data)
 
 
 def _primitive(v: list) -> list:
@@ -490,16 +515,17 @@ class RowSpace:
         return len(self.rows)
 
     def basis_matrix(self) -> QMatrix:
-        return QMatrix(len(self.rows), self.width,
-                       [[Fraction(x, row[p]) if x else Q0 for x in row]
-                        for row, p in zip(self.rows, self.pivots)])
+        return QMatrix._of(len(self.rows), self.width,
+                           [[Fraction(x, row[p]) if x else Q0 for x in row]
+                            for row, p in zip(self.rows, self.pivots)])
 
 
 def spin(mats: list, vectors, width: int) -> RowSpace:
     """Smallest subspace of Q^width containing `vectors` and invariant under
     every matrix in `mats`.  It applies the integer multiple dm of each
     matrix m to primitive integer vectors: dm and m have the same invariant
-    subspaces."""
+    subspaces.  The dm are `integer_matrix`'s, kept on each m, so a caller
+    that spins again under the same matrices converts none of them twice."""
     space = RowSpace(width)
     ints = [integer_matrix(m)[1] for m in mats]
     queue = []

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import linkwitt
 from linkwitt.cli import main, load_input, SchemaError
 from linkwitt.devissage import SimplicityUndecided
 from linkwitt.endofield import EndomorphismError
@@ -339,3 +342,30 @@ def test_internal_error_exit_code(capsys, monkeypatch, command, files):
     assert code == 6
     assert out == ""
     assert err == "internal error: Hilbert product formula violated\n"
+
+
+def test_consecutive_calls_read_as_fresh_ones(capsys, tmp_path):
+    # the parser is built once, at import: no flag of one call may carry
+    # over to the next, so each in-process call gives the exit code and
+    # stdout of the same command run in a new process
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"mu\": 0}", encoding="utf-8")
+    f = _path("worked_example.json")
+    calls = [["cover", f, "--degree", "3"],
+             ["cover", f],
+             ["invariants", f, "--format", "json"],
+             ["invariants", f],
+             ["cobordant", f, f],
+             ["invariants", str(bad)]]
+    results = [_run(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in results] == [0, 0, 0, 0, 0, 2]
+    assert results[0][1].startswith("degree: 3\n")
+    assert results[1][1].startswith("degree: 8\n")
+    json.loads(results[2][1])
+    assert not results[3][1].startswith("{")
+    src = os.path.dirname(os.path.dirname(linkwitt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    for argv, result in zip(calls, results):
+        fresh = subprocess.run([sys.executable, "-m", "linkwitt.cli", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (fresh.returncode, fresh.stdout.decode("utf-8")) == result

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 from linkwitt.rational import (QMatrix, QPoly, RowSpace, _is_probable_prime,
                                coordinates, count_real_roots, factor_int,
-                               factor_rational_poly, is_irreducible,
-                               kernel_columns, lincomb, minimal_polynomial,
+                               factor_rational_poly, integer_matrix,
+                               is_irreducible, kernel_columns, lincomb,
+                               minimal_polynomial,
                                rat, rat_str, real_root_data, sign_at_root,
                                solve_or_kernel, spin, squarefree_part)
 
@@ -801,3 +803,89 @@ def test_real_roots_in_a_closed_interval(case):
     assert count == sum(1 for r in roots if lo <= r <= hi)
     for a, b in intervals:
         assert p.eval(a) * p.eval(b) < 0
+
+
+# ---------------------------------------------------------------------------
+# the integer form of a matrix, computed once; the trusted constructor
+# ---------------------------------------------------------------------------
+
+def test_integer_matrix_is_kept_on_the_matrix():
+    for g in worked_example_module().generators():
+        assert integer_matrix(g) is integer_matrix(g)
+        fresh = QMatrix(g.rows, g.cols, g.data)
+        assert integer_matrix(fresh) == integer_matrix(g)
+
+
+def test_spinning_converts_each_generator_once(monkeypatch):
+    # the walk spins under the same generator objects again and again;
+    # each of them is converted to integers by its first spin only
+    V = worked_example_module()
+    gens = V.generators()
+    assert all(g._ints is None for g in gens)
+    conversions = []
+    lcm = math.lcm
+
+    def counted(*args):
+        if sys._getframe(1).f_code is integer_matrix.__code__:
+            conversions.append(len(args))
+        return lcm(*args)
+
+    monkeypatch.setattr(math, "lcm", counted)
+    for i in range(3 * V.dim):
+        e = [Fraction(int(j == i % V.dim)) for j in range(V.dim)]
+        spin(V.generators(), [e], V.dim)
+    assert conversions == [V.dim * V.dim] * len(gens)
+
+
+@st.composite
+def builder_operands(draw):
+    """A, B of one shape, C with A's rows, D with A's columns, S square
+    with A's rows, and a scalar: entries with up to 30 digits, shapes
+    0 x n and n x 0 included."""
+    r, c, k = (draw(st.integers(0, 4)) for _ in range(3))
+    A, B, C, D, S = (QMatrix(rows, cols, draw(rational_rows(rows, cols)))
+                     for rows, cols in ((r, c), (r, c), (r, k), (k, c),
+                                        (r, r)))
+    return A, B, C, D, S, draw(ENTRIES)
+
+
+def _built_by_trusted_constructor(A, B, C, D, S, x):
+    space = RowSpace(A.cols)
+    for row in A.data:
+        space.add(row)
+    return [QMatrix.zeros(A.rows, A.cols), QMatrix.identity(A.rows),
+            QMatrix.diag([A, S, C]), QMatrix.diag([]), A.transpose(),
+            A + B, A - B, -A, A.scale(x), A.hstack(C), A.vstack(D),
+            A.rref()[0], S.rref()[0], solve_or_kernel(S).inverse,
+            coordinates(A, A), coordinates(S, C), lincomb([x, 1], [A, B]),
+            lincomb([0], [A]), space.basis_matrix(), A * A.transpose(),
+            QPoly([x, 1, x]).eval_matrix(S)]
+
+
+@integer_kernel_cases(150)
+@given(builder_operands())
+@example((QMatrix.zeros(0, 3), QMatrix.zeros(0, 3), QMatrix.zeros(0, 2),
+          QMatrix.zeros(2, 3), QMatrix.zeros(0, 0), Fraction(BIG, 7)))
+@example((QMatrix.zeros(3, 0), QMatrix.zeros(3, 0), QMatrix(3, 2, HUGE + [
+    [Fraction(1, 3), 0]]), QMatrix.zeros(1, 0), QMatrix.identity(3),
+    Fraction(0)))
+@example((QMatrix(2, 2, HUGE), QMatrix(2, 2, COPRIME), QMatrix(2, 2, HUGE),
+          QMatrix(2, 2, COPRIME_TOO), QMatrix(2, 2, HUGE), Fraction(-1, BIG)))
+def test_builders_hand_the_trusted_constructor_fresh_fraction_rows(case):
+    # every builder that skips the parsing constructor must give what the
+    # parsing constructor gives, with Fraction entries only, in row lists
+    # of its own, and an integer form equal to a fresh conversion
+    operands = case[:5]
+    for M in operands:
+        integer_matrix(M)
+    taken = {id(row) for M in operands for row in M.data}
+    for M in _built_by_trusted_constructor(*case):
+        if M is None:
+            continue
+        assert M == QMatrix(M.rows, M.cols, M.data)
+        assert all(type(x) is Fraction for row in M.data for x in row)
+        own = {id(row) for row in M.data}
+        assert len(own) == M.rows and not own & taken
+        taken |= own
+        assert integer_matrix(M) == integer_matrix(
+            QMatrix(M.rows, M.cols, [list(row) for row in M.data]))

@@ -1,0 +1,127 @@
+"""Micro-benchmark of the exact kernels of `linkwitt.rational`.
+
+    python3 tools/kernel_bench.py --seconds 2 --seed 1
+
+Times, against the `src/` of this checkout, five kernels on fixed seeded
+inputs: `QMatrix.__mul__`, `QMatrix.rref`, `minimal_polynomial`,
+`factor_rational_poly` and `spin`.  The inputs come from the modules of
+`bench/gen.py`'s `random_form` (skew forms, mu = 2), each summed with a
+scramble of itself, as in the `metabolic_pairs` workload:
+- `mul`: the products of every pair of generators of each module;
+- `minimal_polynomial`: sampled algebra elements, combinations of products
+  of the generators;
+- `factor_rational_poly`: the minimal polynomials of those elements;
+- `rref`: p(a) for each element a and each irreducible factor p;
+- `spin`: each basis vector spun under the generators of its module.
+
+Like the program, every call reuses the operand objects it is given, so a
+matrix whose integer form was computed by an earlier call keeps it.  Each
+kernel cycles through its cases until `--seconds` have passed (at least one
+pass).  One JSON line goes to stdout: for each kernel the number of calls
+and the median and 90th percentile time of one call in microseconds.
+Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import gen                      # noqa: E402
+from linkwitt.rational import (QMatrix, factor_rational_poly,  # noqa: E402
+                               lincomb, minimal_polynomial, spin)
+
+MODULES = 6
+ELEMENTS_PER_MODULE = 3
+
+
+def modules(seed: int) -> list:
+    """Generator lists of seeded modules of dimension 4 to 8."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(MODULES):
+        form = gen.random_form(rng, 2, rng.randint(2, 4), -1)
+        mu, s, projs = gen.module_sum(form[:3],
+                                      gen.base_change(rng, form=form)[0][:3])
+        out.append([QMatrix(len(m), len(m), m) for m in [s] + projs])
+    return out
+
+
+def elements(rng: random.Random, gens: list) -> list:
+    """Algebra elements: integer combinations of products of one to three
+    generators."""
+    out = []
+    for _ in range(ELEMENTS_PER_MODULE):
+        terms = []
+        for _ in range(3):
+            w = rng.choice(gens)
+            for _ in range(rng.randrange(3)):
+                w = w * rng.choice(gens)
+            terms.append(w)
+        out.append(lincomb([rng.randint(-3, 3) or 1 for _ in terms], terms))
+    return out
+
+
+def cases(seed: int) -> dict:
+    """Kernel name -> list of zero-argument calls."""
+    rng = random.Random(seed + 1)
+    mods = modules(seed)
+    mul, minpoly, factor, rref, spins = [], [], [], [], []
+    for gens in mods:
+        n = gens[0].rows
+        mul += [lambda a=a, b=b: a * b for a in gens for b in gens]
+        spins += [lambda gens=gens, n=n, i=i:
+                  spin(gens, [[int(j == i) for j in range(n)]], n)
+                  for i in range(n)]
+        for a in elements(rng, gens):
+            p = minimal_polynomial(a)
+            minpoly.append(lambda a=a: minimal_polynomial(a))
+            factor.append(lambda p=p: factor_rational_poly(p))
+            for q, _mult in factor_rational_poly(p)[1]:
+                m = q.eval_matrix(a)
+                rref.append(lambda m=m: m.rref())
+    return {"mul": mul, "rref": rref, "minimal_polynomial": minpoly,
+            "factor_rational_poly": factor, "spin": spins}
+
+
+def time_kernel(calls: list, seconds: float) -> dict:
+    times = []
+    busy = 0.0
+    while busy < seconds or len(times) < len(calls):
+        call = calls[len(times) % len(calls)]
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+        busy += times[-1]
+    cuts = statistics.quantiles(times, n=10, method="inclusive")
+    return {"calls": len(times),
+            "median_us": round(statistics.median(times) * 1e6, 2),
+            "p90_us": round(cuts[-1] * 1e6, 2)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seconds", type=float, default=2.0,
+                        help="timed seconds per kernel (default 2)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    kernels = {name: time_kernel(calls, args.seconds)
+               for name, calls in cases(args.seed).items()}
+    print(json.dumps({"seed": args.seed, "seconds": args.seconds,
+                      "python": platform.python_version(),
+                      "kernels": kernels}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
