@@ -15,7 +15,9 @@ isotropic search its smallest isotropic spin or its certificate, which the
 reduction loop takes as is.  A spin from ker p(a) contains Q[a]v and so has
 dimension at least deg p: once the search holds a candidate of dimension
 <= deg p it spins no further vector of a kernel of p that is not a line
-(a line is still spun once, for Norton's test).  The complete fallback
+(a line is still spun once, for Norton's test).  Nor does the search spin a
+vector v on which phi(v, v) or phi(v, m v), m a generator, is nonzero: its
+spin contains v and m v, so it is not isotropic.  The complete fallback
 computes the Jacobson radical of the acting algebra through the trace form
 (valid in characteristic zero) and then hunts for zero divisors or
 idempotents in the endomorphism ring; quaternion endomorphism algebras over
@@ -33,9 +35,9 @@ from fractions import Fraction
 
 from .rational import (Q0, QMatrix, RowSpace, apply_integer,
                        factor_rational_poly, hilbert_symbol, integer_matrix,
-                       kernel_columns, lincomb, minimal_polynomial,
-                       relevant_places, solve_or_kernel, span_coordinates,
-                       spin)
+                       integer_row, kernel_columns, lincomb,
+                       minimal_polynomial, relevant_places, solve_or_kernel,
+                       span_coordinates, spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
                       SeifertMorphism, find_isomorphism, hom_space,
                       induced_form_on_subquotient, perp_basis, quotient_module,
@@ -148,7 +150,7 @@ def _kernels(a: QMatrix, factors: list):
         yield p, [m.col(j) for j in range(m.cols)]
 
 
-def _walk(V: SeifertModule, pairs: bool = False, held=None):
+def _walk(V: SeifertModule, held=None, phi=None):
     """The one MeatAxe walk, over `_factor_kernels`: (count, found) per
     sampled element, `found` lazily yielding ("spin", space) for a kernel
     vector that spins to the proper submodule `space` (a `RowSpace`), ("dual",
@@ -157,22 +159,31 @@ def _walk(V: SeifertModule, pairs: bool = False, held=None):
     has its first vector spun once: all its nonzero vectors spin to one
     submodule.  When that is V, Norton (Holt-Rees 1994) decides: V is simple
     exactly when a vector of ker p(a^T) spins to Q^n under the transposed
-    generators.  Other kernels have each basis vector spun and, with
-    `pairs`, the sums and differences of their first 24 pairs; with `held`,
-    a callable giving the dimension of the caller's held candidate, such a
-    kernel stops before a vector once that dimension is <= deg p (a spin of
-    v in ker p(a) contains Q[a]v, of dimension deg p)."""
+    generators.  Other kernels have each basis vector spun.
+
+    The isotropic search passes `held`, a callable giving the dimension of
+    its held candidate, and `phi`, the sparse integer rows of its form
+    (`integer_matrix`).  Then a kernel that is not a line also offers the
+    sums and differences of its first 24 pairs of basis vectors, and for
+    such a kernel it
+    - stops before a vector once the held dimension is <= deg p (a spin of
+      v in ker p(a) contains Q[a]v, of dimension deg p);
+    - yields nothing for a vector v that `_visibly_anisotropic` rejects,
+      without spinning it: the form does not vanish on its spin, so that
+      spin is no candidate.
+    Line kernels are spun as without the search: Norton's test reads them."""
     if V.dim == 1:
         yield 0, [("simple", SimpleCertificate("dimension-1"))]
         return
     for count, a, kernels in _factor_kernels(V):
-        yield count, _kernel_findings(V, count, a, kernels, pairs, held)
+        yield count, _kernel_findings(V, count, a, kernels, held, phi)
 
 
 def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
-                     pairs: bool, held):
+                     held, phi):
     n = V.dim
     gens = V.generators()
+    ints = None if phi is None else [integer_matrix(g)[1] for g in gens]
     for p, ker in kernels:
         if len(ker) == p.degree():
             spun = spin(gens, ker[:1], n)
@@ -187,17 +198,32 @@ def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
             else:
                 yield "spin", spun
             continue
-        vectors = list(ker)
-        for i, j in itertools.islice(itertools.combinations(
-                range(len(ker)), 2), 24 if pairs else 0):
-            vectors.append([x + y for x, y in zip(ker[i], ker[j])])
-            vectors.append([x - y for x, y in zip(ker[i], ker[j])])
+        # the pair sums lazily: most are never reached
+        pairs = itertools.islice(itertools.combinations(ker, 2),
+                                 0 if held is None else 24)
+        vectors = itertools.chain(ker, itertools.chain.from_iterable(
+            ([x + y for x, y in zip(u, w)], [x - y for x, y in zip(u, w)])
+            for u, w in pairs))
         for v in vectors:
             if held is not None and held() <= p.degree():
                 break
+            v = integer_row(v)
+            if phi is not None and _visibly_anisotropic(phi, ints, v):
+                continue
             spun = spin(gens, [v], n)
             if 0 < spun.dim() < n:
                 yield "spin", spun
+
+
+def _visibly_anisotropic(phi: list, gens: list, v: list) -> bool:
+    """Whether the form with sparse integer rows `phi` is seen not to
+    vanish on the spin of the integer vector v under the generators with
+    sparse integer rows `gens`: phi(v, v) or phi(v, m v) is nonzero for a
+    generator m.  The spin contains v and every m v.  A few dot products
+    decide it, against a spin's products and eliminations."""
+    pv = apply_integer(phi, v)
+    return any(sum(x * y for x, y in zip(w, pv)) for w in itertools.chain(
+        [v], (apply_integer(m, v) for m in gens)))
 
 
 def is_simple(V: SeifertModule):
@@ -448,11 +474,14 @@ def _isotropic_search(f: SeifertForm):
     candidates are the walk's spins, with pairs (these catch diagonal
     lagrangians of orthogonal sums): the smallest wins, the first among
     equals, and once one is held no element past the third is started.
-    A spin from ker p(a) has dimension at least deg p, so a kernel that is
-    not a line stops spinning once the held candidate has dimension
-    <= deg p: none of its spins could replace it.  A line kernel is still
-    spun once, for its Norton test.  A spin is isotropic when the integer
-    multiple of phi vanishes on its integer rows."""
+    Two tests skip spins that cannot win, in a kernel that is not a line
+    (`_walk`): once the held candidate has dimension <= deg p, none of the
+    kernel's spins (each of dimension >= deg p) could replace it; and a
+    vector v with phi(v, v) or phi(v, m v) nonzero for a generator m is
+    not spun, because its spin is not isotropic.  So the winner is the one
+    that spinning every vector gives.  A line kernel is still spun once,
+    for its Norton test.  A spin is isotropic when the integer multiple of
+    phi vanishes on its integer rows."""
     V = f.module
     phi = integer_matrix(f.phi)[1]
     best = None
@@ -461,7 +490,7 @@ def _isotropic_search(f: SeifertForm):
         # V.dim never stops a kernel that is not a line: there deg p < n
         return V.dim if best is None else best.dim()
 
-    for count, found in _walk(V, pairs=True, held=held):
+    for count, found in _walk(V, held, phi):
         for kind, payload in found:
             if kind == "simple":
                 return None, payload

@@ -230,7 +230,7 @@ class QMatrix:
         for row in self.data:
             if space.dim() == self.cols:
                 break
-            _insert(space.rows, space.pivots, _integer_row(row))
+            _insert(space.rows, space.pivots, integer_row(row))
         zeros = [[Q0] * self.cols for _ in range(self.rows - space.dim())]
         return (QMatrix._of(self.rows, self.cols,
                             space.basis_matrix().data + zeros), space.pivots)
@@ -377,7 +377,7 @@ def kernel_columns(M: QMatrix) -> QMatrix:
     kernel = _kernel_vectors(R, pivots, M.cols)
     if not kernel:
         return QMatrix.zeros(M.cols, 0)
-    return QMatrix.from_rows(kernel).transpose()
+    return QMatrix._of(M.cols, len(kernel), [list(r) for r in zip(*kernel)])
 
 
 def lincomb(coeffs, mats: list) -> QMatrix:
@@ -451,7 +451,7 @@ def _primitive(v: list) -> list:
     return v if g in (0, 1) else [x // g for x in v]
 
 
-def _integer_row(vec) -> list:
+def integer_row(vec) -> list:
     """The primitive integer multiple of a rational vector."""
     d = math.lcm(*[x.denominator for x in vec])
     return _primitive([x.numerator * (d // x.denominator) for x in vec])
@@ -506,10 +506,10 @@ class RowSpace:
     def add(self, vec) -> bool:
         """Insert a rational vector; returns True if it enlarged the
         space."""
-        return _insert(self.rows, self.pivots, _integer_row(vec))
+        return _insert(self.rows, self.pivots, integer_row(vec))
 
     def contains(self, vec) -> bool:
-        return not any(_reduce(self.rows, self.pivots, _integer_row(vec)))
+        return not any(_reduce(self.rows, self.pivots, integer_row(vec)))
 
     def dim(self) -> int:
         return len(self.rows)
@@ -525,18 +525,20 @@ def spin(mats: list, vectors, width: int) -> RowSpace:
     every matrix in `mats`.  It applies the integer multiple dm of each
     matrix m to primitive integer vectors: dm and m have the same invariant
     subspaces.  The dm are `integer_matrix`'s, kept on each m, so a caller
-    that spins again under the same matrices converts none of them twice."""
+    that spins again under the same matrices converts none of them twice.
+    Each vector is a primitive integer row already, so it goes straight to
+    `_insert`, with no second normalization (`RowSpace.add`'s)."""
     space = RowSpace(width)
     ints = [integer_matrix(m)[1] for m in mats]
     queue = []
-    for v in map(_integer_row, vectors):
-        if space.add(v):
+    for v in map(integer_row, vectors):
+        if _insert(space.rows, space.pivots, v):
             queue.append(v)
     while queue:
         v = queue.pop()
         for m in ints:
             w = _primitive(apply_integer(m, v))
-            if space.add(w):
+            if _insert(space.rows, space.pivots, w):
                 queue.append(w)
     return space
 
@@ -754,11 +756,14 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
         chain = RowSpace(n)
         vec = e
         powers = [e]
-        while chain.add(vec):
+        while _insert(chain.rows, chain.pivots, _primitive(vec)):
             vec = apply_integer(N, vec)
             powers.append(vec)
-        A = QMatrix.from_rows(powers[:-1]).transpose()
-        sol = coordinates(A, QMatrix.column(powers[-1]))
+        A = QMatrix._of(n, len(powers) - 1,
+                        [[Fraction(v[i]) for v in powers[:-1]]
+                         for i in range(n)])
+        sol = coordinates(A, QMatrix._of(n, 1, [[Fraction(x)]
+                                                for x in powers[-1]]))
         ann = QPoly([-c for c in sol.col(0)] + [Q1])
         result = _poly_lcm(result, ann)
     k = result.degree()

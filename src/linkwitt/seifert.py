@@ -172,6 +172,14 @@ class SeifertForm:
     Conventions: phi is the matrix of the map V -> V*, and the scalar pairing
     is pair(x, y) = (phi x)^T y.  The compatibility conditions are
     phi^T = zeta phi, phi e_i = e_i^T phi and phi s = (1 - s^T) phi.
+
+    Immutable: nothing assigns `phi`, `module` or `zeta` (nor the module's
+    `s` or `projections`) outside the constructors
+    (`tests/test_immutable_matrices.py` checks this), and the matrices are
+    immutable too.  That is what makes the validated mark sound: a form
+    that passed `validate()` once stays valid, so `validate()` returns None
+    at once on it.  `negate`, `promote` and `direct_sum` (when both
+    summands are marked) give valid forms and carry the mark.
     """
 
     def __init__(self, module: SeifertModule, zeta: int, phi: QMatrix):
@@ -182,8 +190,13 @@ class SeifertForm:
         self.module = module
         self.zeta = zeta
         self.phi = phi
+        self._validated = False
 
     def validate(self) -> str | None:
+        """First violated condition as a string, or None when valid; a
+        form marked valid is not checked again."""
+        if self._validated:
+            return None
         err = self.module.validate()
         if err is not None:
             return f"module: {err}"
@@ -203,6 +216,7 @@ class SeifertForm:
             for row in phi.data:
                 if any(x.denominator != 1 for x in row):
                     return "integrality: form entry not an integer"
+        self._validated = True
         return None
 
     def is_valid(self) -> bool:
@@ -212,16 +226,22 @@ class SeifertForm:
         return sum((a * b for a, b in zip(self.phi.apply(x), y)), Q0)
 
     def negate(self) -> "SeifertForm":
-        return SeifertForm(self.module, self.zeta, -self.phi)
+        out = SeifertForm(self.module, self.zeta, -self.phi)
+        out._validated = self._validated
+        return out
 
     def direct_sum(self, other: "SeifertForm") -> "SeifertForm":
         if self.zeta != other.zeta:
             raise SeifertError("zeta mismatch in orthogonal sum")
-        return SeifertForm(self.module.direct_sum(other.module), self.zeta,
-                           QMatrix.diag([self.phi, other.phi]))
+        out = SeifertForm(self.module.direct_sum(other.module), self.zeta,
+                          QMatrix.diag([self.phi, other.phi]))
+        out._validated = self._validated and other._validated
+        return out
 
     def promote(self) -> "SeifertForm":
-        return SeifertForm(self.module.promote(), self.zeta, self.phi)
+        out = SeifertForm(self.module.promote(), self.zeta, self.phi)
+        out._validated = self._validated
+        return out
 
     def transport(self, iso: SeifertMorphism) -> "SeifertForm":
         """Push the form forward along an isomorphism g: module -> target,

@@ -612,3 +612,101 @@ def test_quaternion_division_over_the_former_place_set(a, b):
             places.update(factor_int(n))
     assert dv._quaternion_is_division(a, b) == any(
         hilbert_symbol(a, b, p) == -1 for p in places)
+
+
+def test_the_precheck_rejects_only_vectors_whose_spin_is_no_candidate(
+        monkeypatch):
+    # a vector v with phi(v, v) or phi(v, m v) nonzero is not spun: its
+    # spin, which holds v and m v, is V or a space on which phi does not
+    # vanish
+    import linkwitt.devissage as dv
+    from linkwitt.rational import spin
+    visibly_anisotropic = dv._visibly_anisotropic
+    rejected = 0
+    for f in _oracle_forms():
+        V = f.module
+        seen = []
+
+        def recorded(phi, gens, v):
+            out = visibly_anisotropic(phi, gens, v)
+            if out:
+                seen.append(v)
+            return out
+
+        monkeypatch.setattr(dv, "_visibly_anisotropic", recorded)
+        dv._isotropic_search(f)
+        monkeypatch.undo()
+        for v in seen:
+            b = spin(V.generators(), [v], V.dim).basis_matrix().transpose()
+            assert b.cols == V.dim or not (b.transpose() * f.phi * b).is_zero()
+        rejected += len(seen)
+    assert rejected > 0
+
+
+def test_the_precheck_keeps_the_result_with_fewer_spins(monkeypatch):
+    # the search with and without the pre-check finds what spinning every
+    # kernel vector finds; the pre-check spins strictly less
+    import linkwitt.devissage as dv
+    from linkwitt.rational import spin
+    totals = {"precheck": 0, "degree bound only": 0}
+    unpruned = 0
+    for f in _oracle_forms():
+        reference = []
+        incl, kind = _unpruned_isotropic_search(f, reference)
+        unpruned += len(reference)
+        gens = f.module.generators()
+        for name in totals:
+            spins = []
+
+            def counted(g, vectors, n):
+                if g == gens:
+                    spins.append(n)
+                return spin(g, vectors, n)
+
+            monkeypatch.setattr(dv, "spin", counted)
+            if name == "degree bound only":
+                monkeypatch.setattr(dv, "_visibly_anisotropic",
+                                    lambda phi, ints, v: False)
+            found, cert = dv._isotropic_search(f)
+            monkeypatch.undo()
+            assert (found and found.matrix) == incl
+            assert (cert and cert.kind) == kind
+            totals[name] += len(spins)
+    assert totals["precheck"] < totals["degree bound only"]
+    assert totals["precheck"] < unpruned
+
+
+def test_the_bench_ops_spin_and_check_less(monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 made 6,791 spins and 697
+    # form checks before the search's pre-check and the validated mark
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt.devissage as dv
+    from linkwitt import cli
+    from linkwitt.rational import spin
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops("metabolic_pairs", 11, 120)
+    gen.write_ops(ops, str(tmp_path))
+    spins, checks = [], []
+    validate = SeifertForm.validate
+
+    def counted(*args):
+        spins.append(args[2])
+        return spin(*args)
+
+    def checked(self):
+        if not self._validated:
+            checks.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(dv, "spin", counted)
+    monkeypatch.setattr(SeifertForm, "validate", checked)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    assert len(spins) <= 1300
+    assert len(checks) <= 577

@@ -389,3 +389,34 @@ def test_the_subquotient_checks_its_output_form_only(monkeypatch):
     singular = SeifertForm(f.module, -1, QMatrix.zeros(6, 6))
     with pytest.raises(SeifertError):
         witt_reduce(singular)
+
+
+def test_a_form_is_checked_until_it_passes(monkeypatch):
+    # validate() marks a form only on success: an invalid form gives its
+    # error at every call, and the Witt reduction still refuses a form
+    # that was never checked
+    from linkwitt.devissage import witt_reduce
+    f = worked_example_form()
+    bad = SeifertForm(f.module, -1, f.phi + QMatrix.identity(6))
+    err = bad.validate()
+    assert err is not None and "symmetry" in err
+    assert bad.validate() == err
+    with pytest.raises(SeifertError):
+        witt_reduce(SeifertForm(f.module, -1, f.phi + QMatrix.identity(6)))
+    # a marked form and its negation, promotion and sums with marked forms
+    # are not checked again; a sum with an unmarked invalid form is
+    calls = []
+    validate = SeifertModule.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SeifertModule, "validate", counted)
+    assert f.validate() is None and len(calls) == 1
+    for h in (f, f.negate(), f.promote(), f.negate().direct_sum(f)):
+        assert h.validate() is None
+    assert len(calls) == 1
+    mixed = f.direct_sum(bad)
+    assert mixed.validate() == err
+    assert len(calls) == 2 and calls[-1] is mixed.module

@@ -16,10 +16,14 @@ scramble of itself, as in the `metabolic_pairs` workload:
 
 Like the program, every call reuses the operand objects it is given, so a
 matrix whose integer form was computed by an earlier call keeps it.  Each
-kernel cycles through its cases until `--seconds` have passed (at least one
-pass).  One JSON line goes to stdout: for each kernel the number of calls
-and the median and 90th percentile time of one call in microseconds.
-Uses only the standard library.
+kernel makes passes through its cases until `--seconds` of call time have
+passed (at least one pass).  One JSON line goes to stdout: for each kernel
+the number of calls and the median and 90th percentile time of one call in
+microseconds, at reference speed.  That is `bench/run.py`'s: its
+`reference()` loop runs before the first pass and after each one, and each
+call time of a pass is scaled by `at_reference_speed` of the loops around
+it (a single call is too short to carry a loop of its own), so that runs
+on a host that changes speed compare.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import gen                      # noqa: E402
+from run import at_reference_speed, reference   # noqa: E402
 from linkwitt.rational import (QMatrix, factor_rational_poly,  # noqa: E402
                                lincomb, minimal_polynomial, spin)
 
@@ -97,12 +102,18 @@ def cases(seed: int) -> dict:
 def time_kernel(calls: list, seconds: float) -> dict:
     times = []
     busy = 0.0
-    while busy < seconds or len(times) < len(calls):
-        call = calls[len(times) % len(calls)]
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-        busy += times[-1]
+    ref = reference()
+    while busy < seconds or not times:
+        elapsed = []
+        for call in calls:
+            t0 = time.perf_counter()
+            call()
+            elapsed.append(time.perf_counter() - t0)
+        ref_after = reference()
+        scale = at_reference_speed(1.0, ref, ref_after)
+        times += [t * scale for t in elapsed]
+        busy += sum(elapsed)
+        ref = ref_after
     cuts = statistics.quantiles(times, n=10, method="inclusive")
     return {"calls": len(times),
             "median_us": round(statistics.median(times) * 1e6, 2),
