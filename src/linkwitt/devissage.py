@@ -10,7 +10,9 @@ strictly decreases, so the loop terminates.
 Simplicity is certified.  One MeatAxe walk (`_walk`) spins vectors of
 ker p(a) for the irreducible factors p of the minimal polynomials of
 sampled algebra elements a, and Norton's criterion decides when ker p(a) is
-a line over Q[a]/(p).  `is_simple` takes its first finding, and the
+a line over Q[a]/(p).  An element a = alpha b + beta I of an earlier
+element b is not factored again: its factors are the images of b's, and
+its kernels are b's, each computed once a walk.  `is_simple` takes its first finding, and the
 isotropic search its smallest isotropic spin or its certificate, which the
 reduction loop takes as is.  A spin from ker p(a) contains Q[a]v and so has
 dimension at least deg p: once the search holds a candidate of dimension
@@ -33,9 +35,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, QMatrix, RowSpace, apply_integer,
-                       factor_rational_poly, hilbert_symbol, integer_matrix,
-                       integer_row, kernel_columns, lincomb,
+from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace, apply_integer,
+                       factor_order, factor_rational_poly, hilbert_symbol,
+                       integer_matrix, integer_row, kernel_columns, lincomb,
                        minimal_polynomial, relevant_places, solve_or_kernel,
                        span_coordinates, spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
@@ -138,16 +140,78 @@ def _element_stream(V: SeifertModule):
 def _factor_kernels(V: SeifertModule):
     """(count, a, kernels) for the first eight sampled algebra elements a,
     kernels lazily yielding (p, columns of ker p(a)) for each irreducible
-    factor p of the minimal polynomial of a."""
+    factor p of the minimal polynomial of a, in `factor_rational_poly`'s
+    order.
+
+    An element a = alpha b + beta I (alpha != 0) of an earlier element b is
+    an affine repeat of b (`_affine_repeat`; with mu = 1 the stream yields
+    s, 2s, s and s + I).  It is not factored: its factors are the monic
+    p((x - beta)/alpha) of b's factors p, sorted the same way (the monic
+    irreducible factors are unique), and ker of the image of p at a is
+    ker p(b).  Each such kernel is computed once, when b or a repeat first
+    reads it, and kept for the rest of the walk; `kernel_columns` gives the
+    canonical basis of a kernel, so the columns are the ones a's own
+    factorization gives."""
+    seen = {}
     for count, a in enumerate(itertools.islice(_element_stream(V), 8)):
-        _, factors = factor_rational_poly(minimal_polynomial(a))
-        yield count, a, _kernels(a, factors)
+        form = _affine_form(a)
+        if form[0] not in seen:
+            _, factors = factor_rational_poly(minimal_polynomial(a))
+            seen[form[0]] = form, a, factors, {}
+        b_form, b, factors, memo = seen[form[0]]
+        order = [(p, i) for i, (p, _mult) in enumerate(factors)]
+        alpha, beta = _affine_repeat(form, b_form)
+        if (alpha, beta) != (1, 0):
+            shift = QPoly([-beta / alpha, 1 / alpha])
+            order = sorted(((p.compose(shift).monic(), i) for p, i in order),
+                           key=lambda pi: factor_order(pi[0]))
+        yield count, a, _kernels(b, factors, order, memo)
 
 
-def _kernels(a: QMatrix, factors: list):
-    for p, _mult in factors:
-        m = kernel_columns(p.eval_matrix(a))
-        yield p, [m.col(j) for j in range(m.cols)]
+def _kernels(b: QMatrix, factors: list, order: list, memo: dict):
+    """(q, columns of ker p_i(b)) for each (q, i) of `order`, p_i the i-th
+    of `factors`, each kernel computed at most once into `memo`."""
+    for q, i in order:
+        if i not in memo:
+            m = kernel_columns(factors[i][0].eval_matrix(b))
+            memo[i] = [m.col(j) for j in range(m.cols)]
+        yield q, memo[i]
+
+
+def _affine_form(a: QMatrix):
+    """(key, scale, corner) with a = corner I + scale P, P the integer
+    matrix whose row-major entries are `key`: those of a - corner I made
+    primitive, the first nonzero one positive (all zero and scale 0 for a
+    scalar a).  Elements of one key are affine in each other.  It reads
+    the integer form of a (`integer_matrix`), which the minimal polynomial
+    reads anyway."""
+    d, N = integer_matrix(a)
+    n = a.rows
+    flat = [0] * (n * n)
+    for i, row in enumerate(N):
+        for j, x in row:
+            flat[i * n + j] = x
+    corner = flat[0]
+    for i in range(0, n * n, n + 1):
+        flat[i] -= corner
+    g = math.gcd(*flat)
+    if g:
+        if next(x for x in flat if x) < 0:
+            g = -g
+        flat = [x // g for x in flat]
+    return tuple(flat), Fraction(g, d), Fraction(corner, d)
+
+
+def _affine_repeat(form: tuple, b_form: tuple):
+    """(alpha, beta) with a = alpha b + beta I and alpha != 0, for the
+    `_affine_form`s of a and b; None when a is no such repeat of b.  A
+    scalar repeats a scalar, with alpha = 1."""
+    key, scale, corner = form
+    b_key, b_scale, b_corner = b_form
+    if key != b_key:
+        return None
+    alpha = scale / b_scale if b_scale else Q1
+    return alpha, corner - alpha * b_corner
 
 
 def _walk(V: SeifertModule, held=None, phi=None):

@@ -735,46 +735,50 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
     products) and stopping once the lcm has degree n.  The chains run on
     the integer matrix N = dM, d the common denominator; N's minimal
     polynomial q, of degree k, has integer coefficients (Gauss's lemma),
-    and that of M is q(dx)/d^k."""
+    and that of M is q(dx)/d^k.  Everything stays in integers: for the
+    running lcm r and v = r(N) e != 0, the annihilator of v is that of e
+    divided by its gcd with r, so the new lcm is r times the annihilator
+    of v (`_krylov_annihilator`), and no gcd is taken.  The first is the
+    annihilator of e itself."""
     if not M.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = M.rows
     d, N = integer_matrix(M)
-    result = QPoly.one()
+    result = [1]
     for start in range(n):
-        if result.degree() == n:
+        if len(result) == n + 1:
             break
-        e = [int(i == start) for i in range(n)]
         # result(N) e, by Horner (result is monic with integer coefficients)
-        vec = e
-        for c in reversed(result.coeffs[:-1]):
+        vec = [int(i == start) for i in range(n)]
+        for c in reversed(result[:-1]):
             vec = apply_integer(N, vec)
-            vec[start] += c.numerator
-        if not any(vec):
-            continue
-        # Krylov chain from e until the first linear dependence
-        chain = RowSpace(n)
-        vec = e
-        powers = [e]
-        while _insert(chain.rows, chain.pivots, _primitive(vec)):
-            vec = apply_integer(N, vec)
-            powers.append(vec)
-        A = QMatrix._of(n, len(powers) - 1,
-                        [[Fraction(v[i]) for v in powers[:-1]]
-                         for i in range(n)])
-        sol = coordinates(A, QMatrix._of(n, 1, [[Fraction(x)]
-                                                for x in powers[-1]]))
-        ann = QPoly([-c for c in sol.col(0)] + [Q1])
-        result = _poly_lcm(result, ann)
-    k = result.degree()
-    return QPoly([c / d ** (k - i) for i, c in enumerate(result.coeffs)])
+            vec[start] += c
+        if any(vec):
+            result = _int_poly_mul(result,
+                                   _krylov_annihilator(N, _primitive(vec)))
+    k = len(result) - 1
+    return QPoly([Fraction(c, d ** (k - i)) for i, c in enumerate(result)])
 
 
-def _poly_lcm(a: QPoly, b: QPoly) -> QPoly:
-    if a.is_zero() or b.is_zero():
-        return QPoly.zero()
-    g = a.gcd(b)
-    return ((a * b) // g).monic()
+def _krylov_annihilator(N: list, e: list) -> list:
+    """Integer coefficients, lowest degree first, of the monic polynomial
+    q of least degree with q(N) e = 0, for the sparse integer rows N of
+    `integer_matrix` and an integer vector e.  The powers N^i e go through
+    one fraction-free elimination (`_reduce`, `_insert`), each tagged with
+    its index i in extra columns: the first power that reduces to zero
+    carries t with sum t_j N^j e = 0 in its tags, and q = t / t_k, k its
+    index.  The division is exact: q divides the minimal polynomial of N,
+    which is monic with integer coefficients (Gauss's lemma)."""
+    n = len(e)
+    rows, pivots = [], []
+    vec = e
+    for k in itertools.count():
+        w = _reduce(rows, pivots, vec + [0] * k + [1] + [0] * (n - k))
+        if not any(w[:n]):
+            lead = w[n + k]
+            return [t // lead for t in w[n:n + k + 1]]
+        _insert(rows, pivots, w)
+        vec = apply_integer(N, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -977,15 +981,7 @@ def _factor_squarefree_monic_int(F):
     n = len(F) - 1
     if n == 1:
         return [list(F)]
-    # prime of good reduction
-    p = 3
-    while True:
-        if F[-1] % p != 0:
-            fp = [c % p for c in F]
-            dfp = _pm_trim([i * c % p for i, c in enumerate(fp)][1:])
-            if dfp and len(_pm_gcd(fp, dfp, p)) == 1:
-                break
-        p = _next_prime(p)
+    p = _good_prime(F, _odd_primes())
     modfactors = _factor_mod_p([c % p for c in F], p)
     if len(modfactors) == 1:
         return [list(F)]
@@ -1031,12 +1027,32 @@ def _factor_squarefree_monic_int(F):
     return result
 
 
-def _next_prime(p):
-    candidate = p + 2
+def _odd_primes():
+    """3, 5, 7, 11, ...: every odd prime, by trial division."""
+    candidate = 3
     while True:
-        if all(candidate % d for d in range(3, int(math.isqrt(candidate)) + 1, 2)):
-            return candidate
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            yield candidate
         candidate += 2
+
+
+# the primes `factor_rational_poly` tries for its squarefree certificate
+_CERTIFICATE_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _good_prime(F: list, primes):
+    """The first of `primes` of good reduction for the integer polynomial F
+    (coefficients lowest degree first): one that does not divide its
+    leading coefficient and modulo which gcd(F, F') = 1 in F_p[x].  None
+    when there is none among them.  Such a prime does not divide the
+    discriminant of F, so F is squarefree over Q."""
+    for p in primes:
+        if F[-1] % p:
+            fp = [c % p for c in F]
+            dfp = _pm_trim([i * c % p for i, c in enumerate(fp)][1:])
+            if dfp and len(_pm_gcd(fp, dfp, p)) == 1:
+                return p
+    return None
 
 
 def _squarefree_decomposition(p: QPoly):
@@ -1066,7 +1082,11 @@ def factor_rational_poly(p: QPoly):
     """Factor into monic irreducibles over Q.
 
     Returns (content, [(factor, multiplicity), ...]) with content a rational
-    scalar such that content * prod(factor^mult) == p.
+    scalar such that content * prod(factor^mult) == p, the factors in the
+    order of `factor_order`.  When a prime of `_CERTIFICATE_PRIMES` is of
+    good reduction for the integer model of p (`_good_prime`), p is
+    squarefree and Yun's gcds over Q are skipped: the one squarefree part is
+    p made monic, as Yun's algorithm gives.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -1074,15 +1094,15 @@ def factor_rational_poly(p: QPoly):
     monic = p.monic()
     if monic.degree() == 0:
         return content, []
+    if _good_prime(_integer_model(monic), _CERTIFICATE_PRIMES) is None:
+        parts = _squarefree_decomposition(monic)
+    else:
+        parts = [(monic, 1)]
     out = []
-    for part, mult in _squarefree_decomposition(monic):
+    for part, mult in parts:
         if part.degree() == 0:
             continue
-        # clear denominators: primitive integer model of the monic part
-        den = 1
-        for c in part.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in part.coeffs]
+        ints = _integer_model(part)
         a = ints[-1]
         if a != 1:
             # monicize: G(x) = a^(n-1) * P(x/a) is monic with integer coeffs
@@ -1099,8 +1119,21 @@ def factor_rational_poly(p: QPoly):
             else:
                 fact = QPoly([Fraction(c) for c in gi])
             out.append((fact, mult))
-    out.sort(key=lambda fm: (fm[0].degree(), [str(c) for c in fm[0].coeffs]))
+    out.sort(key=lambda fm: factor_order(fm[0]))
     return content, out
+
+
+def factor_order(p: QPoly):
+    """The sort key of `factor_rational_poly`'s factors: degree, then the
+    printed coefficients."""
+    return p.degree(), [str(c) for c in p.coeffs]
+
+
+def _integer_model(p: QPoly) -> list:
+    """The primitive integer multiple of a monic rational polynomial, whose
+    leading coefficient is the common denominator of p's coefficients."""
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def is_irreducible(p: QPoly) -> bool:

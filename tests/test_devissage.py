@@ -710,3 +710,104 @@ def test_the_bench_ops_spin_and_check_less(monkeypatch, tmp_path):
             assert cli.main(op["argv"]) == 0
     assert len(spins) <= 1300
     assert len(checks) <= 577
+
+
+def _factor_kernels_oracle(V):
+    # each sampled element factored and its kernels computed on its own
+    import itertools
+    from linkwitt.devissage import _element_stream
+    from linkwitt.rational import (factor_rational_poly, kernel_columns,
+                                   minimal_polynomial)
+    for a in itertools.islice(_element_stream(V), 8):
+        _, factors = factor_rational_poly(minimal_polynomial(a))
+        kernels = []
+        for p, _mult in factors:
+            m = kernel_columns(p.eval_matrix(a))
+            kernels.append((p, [m.col(j) for j in range(m.cols)]))
+        yield a, kernels
+
+
+def test_affine_repeats_share_the_factor_kernels_of_their_element():
+    # a = alpha b + beta I takes b's factors, mapped and sorted, and b's
+    # kernels: the same lists, in the same order, as factoring a itself
+    from support import knot_form
+    from linkwitt.devissage import _affine_form, _factor_kernels
+    rng = random.Random(17)
+    forms = _oracle_forms() + [knot_form(rng, 2) for _ in range(6)]
+    mapped = 0
+    for f in forms:
+        V = f.module
+        if V.dim == 1:
+            continue
+        got = [(count, a, list(kernels))
+               for count, a, kernels in _factor_kernels(V)]
+        expected = list(_factor_kernels_oracle(V))
+        assert [count for count, _a, _k in got] == list(range(len(expected)))
+        for (_count, a, kernels), (b, reference) in zip(got, expected):
+            assert a == b
+            assert kernels == reference
+        # repeats that are not the element itself: their factors are mapped
+        forms_seen = {}
+        for _count, a, _kernels in got:
+            key, scale, corner = _affine_form(a)
+            if key in forms_seen and forms_seen[key] != (scale, corner):
+                mapped += 1
+            forms_seen.setdefault(key, (scale, corner))
+    assert mapped >= 20
+
+
+def test_the_affine_repeat_test():
+    from fractions import Fraction
+    from linkwitt.devissage import _affine_form, _affine_repeat
+
+    def repeat(a, b):
+        return _affine_repeat(_affine_form(a), _affine_form(b))
+
+    s = worked_example_module().promote().s
+    one = QMatrix.identity(s.rows)
+    assert repeat(s, s) == (1, 0)
+    assert repeat(s.scale(2), s) == (2, 0)
+    assert repeat(s + one, s) == (1, 1)
+    assert repeat(s.scale(Fraction(-1, 3)) + one.scale(5), s.scale(2)) \
+        == (Fraction(-1, 6), 5)
+    assert repeat(s, s.scale(Fraction(3, 2)) - one) \
+        == (Fraction(2, 3), Fraction(2, 3))
+    # a scalar repeats a scalar
+    assert repeat(one.scale(3), one.scale(Fraction(1, 2))) == (1, Fraction(5, 2))
+    assert repeat(QMatrix.zeros(2, 2), QMatrix.identity(2)) == (1, -1)
+    # alpha = 0, and elements that are not affine in b
+    assert repeat(one.scale(3), s) is None
+    assert repeat(s, one) is None
+    assert repeat(s * s, s) is None
+    e = QMatrix.diag([QMatrix.identity(2), QMatrix.zeros(s.rows - 2,
+                                                         s.rows - 2)])
+    assert repeat(s * e, s) is None
+    assert repeat(e, one) is None
+    assert repeat(s.transpose(), s) is None
+
+
+def test_the_bench_ops_factor_fewer_elements(monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 made 1,329 calls of
+    # each before affine repeats shared their factor kernels
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt.devissage as dv
+    from linkwitt import cli
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops("metabolic_pairs", 11, 120)
+    gen.write_ops(ops, str(tmp_path))
+    calls = {"minimal_polynomial": 0, "factor_rational_poly": 0}
+    for name in calls:
+        def counted(*args, name=name, wrapped=getattr(dv, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(dv, name, counted)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    assert calls["minimal_polynomial"] <= 820
+    assert calls["factor_rational_poly"] <= 820

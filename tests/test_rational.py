@@ -889,3 +889,122 @@ def test_builders_hand_the_trusted_constructor_fresh_fraction_rows(case):
         taken |= own
         assert integer_matrix(M) == integer_matrix(
             QMatrix(M.rows, M.cols, [list(row) for row in M.data]))
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials in integers, and the squarefree certificate
+# ---------------------------------------------------------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Scalar, nilpotent and block-diagonal matrices, with repeated blocks
+    or blocks of coprime minimal polynomials, some of them scrambled by a
+    base change."""
+    kind = draw(st.sampled_from(["scalar", "nilpotent", "repeated",
+                                 "coprime"]))
+    if kind == "scalar":
+        M = QMatrix.identity(draw(st.integers(1, 5))).scale(draw(SMALL))
+    elif kind == "nilpotent":
+        n = draw(st.integers(1, 5))
+        M = QMatrix(n, n, [[draw(SMALL) if j > i else 0 for j in range(n)]
+                           for i in range(n)])
+    else:
+        k = draw(st.integers(1, 3))
+        B = QMatrix(k, k, [[draw(SMALL) for _ in range(k)]
+                           for _ in range(k)])
+        if kind == "repeated":
+            M = _block_diagonal([B] * draw(st.integers(2, 3)))
+        else:
+            c = draw(SMALL)
+            assume((B - QMatrix.identity(k).scale(c)).det() != 0)
+            M = _block_diagonal([B, QMatrix.identity(
+                draw(st.integers(1, 2))).scale(c), B])
+    if draw(st.booleans()):
+        n = M.rows
+        P = QMatrix(n, n, [[draw(st.integers(-2, 2)) for _ in range(n)]
+                           for _ in range(n)])
+        assume(P.det() != 0)
+        M = P.inverse() * M * P
+    return M
+
+
+@integer_kernel_cases(150)
+@given(structured_matrices())
+def test_minimal_polynomial_annihilates_and_is_least(M):
+    # p(M) = 0, and no p / f does for an irreducible factor f of p
+    p = minimal_polynomial(M)
+    assert p.coeffs[-1] == 1
+    assert p.eval_matrix(M).is_zero()
+    _, factors = factor_rational_poly(p)
+    for f, _mult in factors:
+        assert not (p // f).eval_matrix(M).is_zero()
+
+
+def _factor_by_yun(p):
+    # factor_rational_poly with no certificate prime: always Yun's path
+    import linkwitt.rational as r
+    saved = r._CERTIFICATE_PRIMES
+    r._CERTIFICATE_PRIMES = ()
+    try:
+        return factor_rational_poly(p)
+    finally:
+        r._CERTIFICATE_PRIMES = saved
+
+
+def _rebuilt(content, factors):
+    out = QPoly.constant(content)
+    for f, mult in factors:
+        for _ in range(mult):
+            out = out * f
+    return out
+
+
+POLYS = st.lists(SMALL, min_size=2, max_size=4).map(QPoly).filter(
+    lambda p: p.degree() >= 1)
+
+
+@integer_kernel_cases(150)
+@given(POLYS, POLYS, SMALL.filter(bool))
+def test_factoring_a_square_times_a_polynomial_matches_yun(p, q, c):
+    # p^2 q is not squarefree, so no prime certifies it: Yun's path runs
+    from linkwitt.rational import _CERTIFICATE_PRIMES, _good_prime, \
+        _integer_model
+    f = p * p * q * c
+    assert _good_prime(_integer_model(f.monic()), _CERTIFICATE_PRIMES) \
+        is None
+    content, factors = factor_rational_poly(f)
+    assert (content, factors) == _factor_by_yun(f)
+    assert _rebuilt(content, factors) == f
+    assert max(mult for _f, mult in factors) >= 2
+
+
+@integer_kernel_cases(150)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+       SMALL.filter(bool))
+def test_a_leading_coefficient_divisible_by_every_certificate_prime(
+        numerators, c):
+    # a constant term 1/(3 * 5 * 7 * 11 * 13): the integer model's leading
+    # coefficient is divisible by every certificate prime, so the
+    # certificate cannot hold and Yun's path runs; the factors agree
+    from linkwitt.rational import _CERTIFICATE_PRIMES, _good_prime, \
+        _integer_model
+    den = math.prod(_CERTIFICATE_PRIMES)
+    monic = QPoly([Fraction(1, den)] + [Fraction(a, den) for a in numerators]
+                  + [1])
+    assert _integer_model(monic)[-1] == den
+    assert _good_prime(_integer_model(monic), _CERTIFICATE_PRIMES) is None
+    f = monic * c
+    content, factors = factor_rational_poly(f)
+    assert (content, factors) == _factor_by_yun(f)
+    assert _rebuilt(content, factors) == f
+
+
+@integer_kernel_cases(150)
+@given(POLYS)
+def test_a_certified_squarefree_polynomial_factors_as_by_yun(p):
+    content, factors = factor_rational_poly(p)
+    assert (content, factors) == _factor_by_yun(p)
+    assert _rebuilt(content, factors) == p

@@ -15,21 +15,29 @@ scramble of itself, as in the `metabolic_pairs` workload:
 - `spin`: each basis vector spun under the generators of its module.
 
 Like the program, every call reuses the operand objects it is given, so a
-matrix whose integer form was computed by an earlier call keeps it.  Each
-kernel makes passes through its cases until `--seconds` of call time have
-passed (at least one pass).  One JSON line goes to stdout: for each kernel
-the number of calls and the median and 90th percentile time of one call in
-microseconds, at reference speed.  That is `bench/run.py`'s: its
-`reference()` loop runs before the first pass and after each one, and each
-call time of a pass is scaled by `at_reference_speed` of the loops around
-it (a single call is too short to carry a loop of its own), so that runs
-on a host that changes speed compare.  Uses only the standard library.
+matrix whose integer form was computed by an earlier call keeps it; one
+untimed pass through each kernel's cases computes them first.  Each kernel
+then makes timed passes until `--seconds` of call time have passed (at
+least one pass), each pass through its case list repeated until the pass
+takes at least 50 ms.  One JSON line goes to stdout: for each kernel the
+number of calls, `median_us`, the median over the passes of the mean time
+of one call in a pass, and `p90_us`, the 90th percentile time of one call,
+in microseconds at reference speed.  A pass's mean weighs every case the
+same in every run; the median of single calls does not, because the call
+times of one kernel fall in clusters (p(a) of different sizes) and that
+median can sit in a gap between two of them.  Reference speed is
+`bench/run.py`'s: its `reference()` loop runs before the first pass and
+after each one, and each call time of a pass is scaled by
+`at_reference_speed` of the loops around it (a single call is too short to
+carry a loop of its own), so that runs on a host that changes speed
+compare.  Uses only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import random
@@ -48,6 +56,8 @@ from linkwitt.rational import (QMatrix, factor_rational_poly,  # noqa: E402
 
 MODULES = 6
 ELEMENTS_PER_MODULE = 3
+# the least wall time of one timed pass through a kernel's cases
+PASS_S = 0.05
 
 
 def modules(seed: int) -> list:
@@ -100,7 +110,14 @@ def cases(seed: int) -> dict:
 
 
 def time_kernel(calls: list, seconds: float) -> dict:
-    times = []
+    # an untimed pass fills the operands' integer forms and sizes a pass:
+    # the case list is repeated until one pass takes PASS_S or more, so the
+    # reference loops around a pass are short against it
+    t0 = time.perf_counter()
+    for call in calls:
+        call()
+    calls = calls * max(1, math.ceil(PASS_S / (time.perf_counter() - t0)))
+    times, means = [], []
     busy = 0.0
     ref = reference()
     while busy < seconds or not times:
@@ -112,11 +129,12 @@ def time_kernel(calls: list, seconds: float) -> dict:
         ref_after = reference()
         scale = at_reference_speed(1.0, ref, ref_after)
         times += [t * scale for t in elapsed]
+        means.append(sum(elapsed) * scale / len(elapsed))
         busy += sum(elapsed)
         ref = ref_after
     cuts = statistics.quantiles(times, n=10, method="inclusive")
     return {"calls": len(times),
-            "median_us": round(statistics.median(times) * 1e6, 2),
+            "median_us": round(statistics.median(means) * 1e6, 2),
             "p90_us": round(cuts[-1] * 1e6, 2)}
 
 
