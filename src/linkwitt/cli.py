@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .rational import QMatrix, rat, rat_str
 from .seifert import SeifertError, SeifertForm, SeifertModule
@@ -120,6 +121,13 @@ def _matrix_json(m: QMatrix) -> list:
     return [[rat_str(x) for x in row] for row in m.data]
 
 
+def _series_matrix_json(rows) -> list:
+    """Serialized entries of a matrix of truncated series, sharing one table
+    of word names."""
+    names = {}
+    return [[e.serialize(names) for e in row] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
@@ -153,9 +161,62 @@ def report_to_dict(report, module, form, seed: int, degree: int) -> dict:
 
 
 def emit(doc: dict, fmt: str) -> str:
+    """The report as text, or as JSON: `--format json` is byte-for-byte
+    `json.dumps(doc, sort_keys=True, indent=2)` plus a newline."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out = []
+        _json_chunks(doc, "\n", out)
+        out.append("\n")
+        return "".join(out)
     return _render_text(doc) + "\n"
+
+
+def _json_chunks(val, newline: str, out: list) -> None:
+    """Append the indented JSON of `val` to `out` in chunks, as
+    `json.dumps(val, sort_keys=True, indent=2)` writes it; `newline` is a
+    newline followed by the indentation of the line `val` starts on.  Only
+    the types of a report are written (str keys; str, int, bool, None, list
+    and dict values); any other raises TypeError, as json.dumps does on a
+    type it does not know."""
+    if isinstance(val, str):
+        out.append(_json_str(val))
+    elif val is None:
+        out.append("null")
+    elif val is True:
+        out.append("true")
+    elif val is False:
+        out.append("false")
+    elif isinstance(val, int):
+        out.append(int.__repr__(val))
+    elif isinstance(val, list):
+        if not val:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is str for x in val):
+            out.append("[" + inner + ("," + inner).join(map(_json_str, val))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for x in val:
+            out.append(sep)
+            _json_chunks(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(val, dict):
+        if not val:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(val):
+            out.append(sep + _json_str(key) + ": ")
+            _json_chunks(val[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(val).__name__} "
+                        f"is not JSON serializable")
 
 
 def _render_text(doc: dict, indent: int = 0) -> str:
@@ -238,8 +299,7 @@ def run_cover(args) -> int:
         "seed": args.seed,
         "degree": degree,
         "sigma": sigma,
-        "sigma_inverse_truncated": [[e.serialize() for e in row]
-                                    for row in inverse],
+        "sigma_inverse_truncated": _series_matrix_json(inverse),
     }
     if form is not None:
         err = form.validate()
@@ -248,8 +308,8 @@ def run_cover(args) -> int:
             return EXIT_INVALID
         pairing = blanchfield_pairing(form, degree)
         witness = symmetry_witness(pairing, form.zeta, degree)
-        doc["pairing"] = [[e.truncated.serialize() for e in row]
-                          for row in pairing]
+        doc["pairing"] = _series_matrix_json(
+            [[e.truncated for e in row] for row in pairing])
         doc["symmetry_witness"] = (
             "found" if witness is not None
             else "no witness at this truncation")

@@ -52,6 +52,11 @@ def word_str(w: tuple) -> str:
     return " ".join(f"z{g}" if e == 1 else f"z{g}^-1" for g, e in w)
 
 
+def _length_then_word(w: tuple) -> tuple:
+    """Sort key of words: shorter words first, then lexicographic."""
+    return len(w), w
+
+
 class GroupRingElem:
     """Finite rational combination of reduced free-group words."""
 
@@ -131,7 +136,7 @@ class GroupRingElem:
         if not self.terms:
             return "0"
         bits = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
+        for w in sorted(self.terms, key=_length_then_word):
             bits.append(f"{rat_str(self.terms[w])}*{word_str(w)}")
         return " + ".join(bits)
 
@@ -276,11 +281,20 @@ class TruncatedSeries:
         return TruncatedSeries(degree, {w: c for w, c in self.terms.items()
                                         if len(w) <= degree})
 
-    def serialize(self) -> list:
+    def serialize(self, names: dict | None = None) -> list:
+        """[word, coefficient] string pairs in (length, word) order, the
+        word written "x1 x2" ("1" when empty).  `names` maps words to their
+        names; the entries of one matrix share it, so each word's name is
+        built once for the matrix."""
+        if names is None:
+            names = {}
+        terms = self.terms
         out = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
-            name = " ".join(f"x{i}" for i in w) if w else "1"
-            out.append([name, rat_str(self.terms[w])])
+        for w in sorted(terms, key=_length_then_word):
+            name = names.get(w)
+            if name is None:
+                name = names[w] = " ".join([f"x{i}" for i in w]) or "1"
+            out.append([name, rat_str(terms[w])])
         return out
 
     def __repr__(self):

@@ -52,8 +52,8 @@ def rat(x) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Serialize a rational as 'p/q', or 'p' when the denominator is 1."""
-    x = Fraction(x)
+    """Serialize a rational (a Fraction or an int) as 'p/q', or 'p' when the
+    denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -974,14 +974,16 @@ def _symmetric(x, q):
     return x - q if 2 * x > q else x
 
 
-def _factor_squarefree_monic_int(F):
+def _factor_squarefree_monic_int(F, p=None):
     """Factor a squarefree monic polynomial in Z[x] into monic irreducibles
     (Zassenhaus: factor mod p, Hensel lift past the Mignotte bound, subset
-    recombination)."""
+    recombination).  p is the first odd prime of good reduction for F
+    (`_good_prime`), searched for when not given."""
     n = len(F) - 1
     if n == 1:
         return [list(F)]
-    p = _good_prime(F, _odd_primes())
+    if p is None:
+        p = _good_prime(F, _odd_primes())
     modfactors = _factor_mod_p([c % p for c in F], p)
     if len(modfactors) == 1:
         return [list(F)]
@@ -1086,7 +1088,9 @@ def factor_rational_poly(p: QPoly):
     order of `factor_order`.  When a prime of `_CERTIFICATE_PRIMES` is of
     good reduction for the integer model of p (`_good_prime`), p is
     squarefree and Yun's gcds over Q are skipped: the one squarefree part is
-    p made monic, as Yun's algorithm gives.
+    p made monic, as Yun's algorithm gives.  When that integer model is
+    monic, the prime is also the one the Zassenhaus step factors modulo, so
+    it is not searched for again.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -1094,7 +1098,9 @@ def factor_rational_poly(p: QPoly):
     monic = p.monic()
     if monic.degree() == 0:
         return content, []
-    if _good_prime(_integer_model(monic), _CERTIFICATE_PRIMES) is None:
+    # the certificate's primes are the first odd primes, in order
+    prime = _good_prime(_integer_model(monic), _CERTIFICATE_PRIMES)
+    if prime is None:
         parts = _squarefree_decomposition(monic)
     else:
         parts = [(monic, 1)]
@@ -1110,7 +1116,7 @@ def factor_rational_poly(p: QPoly):
             G = [ints[i] * a ** (n - 1 - i) for i in range(n)] + [1]
         else:
             G = ints
-        for gi in _factor_squarefree_monic_int(G):
+        for gi in _factor_squarefree_monic_int(G, prime if a == 1 else None):
             if a != 1:
                 # map back: factor of P is gi(a x) made monic
                 d = len(gi) - 1

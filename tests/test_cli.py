@@ -5,9 +5,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import linkwitt
-from linkwitt.cli import main, load_input, SchemaError
+from linkwitt.cli import emit, main, load_input, SchemaError
 from linkwitt.devissage import SimplicityUndecided
 from linkwitt.endofield import EndomorphismError
 
@@ -369,3 +370,38 @@ def test_consecutive_calls_read_as_fresh_ones(capsys, tmp_path):
         fresh = subprocess.run([sys.executable, "-m", "linkwitt.cli", *argv],
                                capture_output=True, env=env, check=False)
         assert (fresh.returncode, fresh.stdout.decode("utf-8")) == result
+
+
+# JSON documents of the types a report holds: str keys; None, bools, ints
+# (big ones too), any text (non-ASCII, quotes, control characters), empty
+# and nested lists and dicts, and mixed [str, int] lists like hasse rows
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.text(), st.text(alphabet="\"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d54f"),
+    st.tuples(st.text(), st.integers()).map(list))
+_JSON_DOCS = st.dictionaries(st.text(), st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert emit(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) \
+        + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1.5},
+    {"a": [1, 2.0]},
+    {"a": {"b": ["x", 0.25]}},
+    {"a": object()},
+    {"a": {1, 2}},
+])
+def test_json_writer_rejects_types_no_report_holds(doc):
+    with pytest.raises(TypeError):
+        emit(doc, "json")

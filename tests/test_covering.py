@@ -433,6 +433,37 @@ def test_group_ring_serialize():
     assert GroupRingElem().serialize() == []
 
 
+def test_truncated_series_serialize_order_and_names():
+    # terms filled out of (length, word) order; (10,) sorts after (1,) as
+    # a word although "x10" sorts before "x2" as a name
+    t = TruncatedSeries(3, {(2, 1): Fraction(3, 4), (1, 1, 2): 5,
+                            (10,): 1, (1, 2): Fraction(-1, 2), (2,): 0,
+                            (): -1, (1,): 2})
+    assert list(t.terms) != sorted(t.terms, key=lambda w: (len(w), w))
+    assert t.serialize() == [["1", "-1"], ["x1", "2"], ["x10", "1"],
+                             ["x1 x2", "-1/2"], ["x2 x1", "3/4"],
+                             ["x1 x1 x2", "5"]]
+    a = TruncatedSeries(3, {(2,): 1, (): 1})
+    b = TruncatedSeries(3, {(1,): Fraction(1, 2), (2, 2): -3})
+    p = a * b + TruncatedSeries.constant(2, 3)
+    assert list(p.terms) != sorted(p.terms, key=lambda w: (len(w), w))
+    assert p.serialize() == [["1", "2"], ["x1", "1/2"], ["x2 x1", "1/2"],
+                             ["x2 x2", "-3"], ["x2 x2 x2", "-3"]]
+    assert TruncatedSeries(3).serialize() == []
+
+
+def test_series_matrix_serializes_the_same_with_shared_names():
+    for V in (worked_example_module(),
+              random_module(random.Random(62), 3, 4)):
+        inverse = sigma_inverse_truncated(V, 4)
+        alone = [[e.serialize() for e in row] for row in inverse]
+        names = {}
+        shared = [[e.serialize(names) for e in row] for row in inverse]
+        assert shared == alone
+        assert set(names) == {w for row in inverse for e in row
+                              for w in e.terms}
+
+
 def _series_involution_by_products(t, degree=None):
     # the product form of bar: in the reversed word every x_i becomes the
     # dense truncated series (1 + x_i)^{-1} - 1

@@ -1008,3 +1008,34 @@ def test_a_certified_squarefree_polynomial_factors_as_by_yun(p):
     content, factors = factor_rational_poly(p)
     assert (content, factors) == _factor_by_yun(p)
     assert _rebuilt(content, factors) == p
+
+
+@pytest.mark.parametrize("coeffs, degrees", [
+    ([-2, 0, 0, 1], [3]),                  # x^3 - 2: bad at 3, good at 5
+    ([1, 0, -10, 0, 1], [4]),              # sqrt 2 + sqrt 3: bad at 3
+    ([6, 0, -5, 0, 1], [2, 2]),            # (x^2 - 2)(x^2 - 3)
+    ([-6, 11, -6, 1], [1, 1, 1]),          # (x - 1)(x - 2)(x - 3)
+    ([1, 0, 1], [2]),                      # x^2 + 1: good at 3
+])
+def test_a_monic_squarefree_polynomial_searches_one_good_prime(
+        monkeypatch, coeffs, degrees):
+    # the certificate's prime is the Zassenhaus prime of a monic integer
+    # model: _good_prime runs once per factorization
+    import linkwitt.rational as r
+    calls = []
+    good_prime = r._good_prime
+
+    def counted(F, primes):
+        calls.append(tuple(F))
+        return good_prime(F, primes)
+
+    monkeypatch.setattr(r, "_good_prime", counted)
+    p = QPoly([Fraction(c) for c in coeffs])
+    content, factors = factor_rational_poly(p)
+    assert calls == [tuple(coeffs)]
+    assert content == 1
+    assert sorted(f.degree() for f, _mult in factors) == degrees
+    assert all(mult == 1 for _f, mult in factors)
+    assert _rebuilt(content, factors) == p
+    monkeypatch.undo()
+    assert (content, factors) == _factor_by_yun(p)
