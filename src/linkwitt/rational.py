@@ -14,8 +14,9 @@ the common denominator, and divide once, when the result is read out; dM
 is computed at most once per matrix and kept on it.  Builders whose
 entries are Fractions already skip the parsing constructor
 (`QMatrix._of`).  No floating point is used
-anywhere; every sign determination of a real algebraic number goes through
-Sturm sequences and rational interval arithmetic.
+anywhere; every sign of a real algebraic number is a Tarski query, sign
+variations of one signed remainder sequence (`sturm_chain`), the sequence
+that also counts and isolates the real roots.
 """
 
 from __future__ import annotations
@@ -1153,8 +1154,10 @@ def is_irreducible(p: QPoly) -> bool:
 # Sturm sequences and real root isolation
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: QPoly):
-    chain = [p, p.derivative()]
+def sturm_chain(p: QPoly, q: QPoly):
+    """The signed remainder sequence p, q, -rem(p, q), ...: with q = p' a
+    Sturm sequence, with q = p'g the sequence of a Tarski query."""
+    chain = [p, q]
     while not chain[-1].is_zero() and chain[-1].degree() > 0:
         rem = chain[-2] % chain[-1]
         if rem.is_zero():
@@ -1181,7 +1184,7 @@ def root_bound(p: QPoly) -> Fraction:
 def count_real_roots(p: QPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]; p need not be squarefree."""
     sf = p.squarefree_part()
-    chain = sturm_chain(sf)
+    chain = sturm_chain(sf, sf.derivative())
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -1197,7 +1200,7 @@ def real_root_data(p: QPoly, interval=None):
     sf = p.squarefree_part()
     if sf.degree() <= 0:
         return 0, []
-    chain = sturm_chain(sf)
+    chain = sturm_chain(sf, sf.derivative())
 
     def var(x):
         return _sign_variations(chain, x)
@@ -1270,41 +1273,22 @@ def refine_isolating_interval(p: QPoly, interval, max_width: Fraction):
     return a, b
 
 
-def _interval_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _interval_mul(x, y):
-    vals = [x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]]
-    return (min(vals), max(vals))
-
-
-def interval_eval(p: QPoly, interval):
-    """Horner evaluation of p over a rational interval."""
-    acc = (Q0, Q0)
-    for c in reversed(p.coeffs):
-        acc = _interval_add(_interval_mul(acc, interval), (c, c))
-    return acc
-
-
 def sign_at_root(g: QPoly, h: QPoly, interval) -> int:
     """Sign of g(r) where r is the unique root of squarefree h inside the
-    isolating interval.  Requires g(r) != 0, guaranteed when h is irreducible
-    and 0 < deg g < deg h, or g a nonzero constant."""
-    if g.is_zero():
-        raise ValueError("sign of zero requested")
-    if g.degree() == 0:
-        return 1 if g.coeffs[0] > 0 else -1
+    isolating interval (a, b), by a Tarski query: for h(a) h(b) != 0,
+    Var(a) - Var(b) of the signed remainder sequence of h and h'g is the
+    sum of the signs of g at the roots of h in (a, b) (Basu-Pollack-Roy,
+    Algorithms in Real Algebraic Geometry, Thm 2.58).  Raises ValueError
+    when g(r) = 0, which cannot happen when h is irreducible and g is
+    nonzero of lower degree."""
     a, b = interval
     if h.eval(a) == 0 or h.eval(b) == 0:
         raise ValueError("interval endpoints must not be roots")
-    while True:
-        lo, hi = interval_eval(g, (a, b))
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        a, b = refine_isolating_interval(h, (a, b), (b - a) / 4)
+    chain = sturm_chain(h, h.derivative() * g)
+    sign = _sign_variations(chain, a) - _sign_variations(chain, b)
+    if sign == 0:
+        raise ValueError("g vanishes at the root")
+    return sign
 
 
 # ---------------------------------------------------------------------------

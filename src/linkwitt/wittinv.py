@@ -2,10 +2,10 @@
 involution: rank mod 2, signatures at the relevant real places, discriminant
 class, and the Hasse-Witt invariant over Q.
 
-Signs of real algebraic numbers are determined exactly through Sturm
-isolation and rational interval arithmetic; the diagonal entries and the
-relative discriminant are written in one primitive element of the fixed
-field by one solve.  Discriminant classes are decided by
+Signs of real algebraic numbers are determined exactly: Sturm sequences
+isolate the real roots and a Tarski query gives each sign; the diagonal
+entries and the relative discriminant are written in one primitive element
+of the fixed field by one solve.  Discriminant classes are decided by
 `endofield.norm_class`: square classes over Q by squarefree normalization,
 norm classes of quadratic extensions of Q by a finite Hilbert-symbol
 criterion.  Hilbert symbols and their places live in `rational`;

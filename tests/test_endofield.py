@@ -576,3 +576,24 @@ def test_fixed_field_degree_is_artins_without_a_kernel(monkeypatch):
     # metabolic random forms leave no group
     assert len(forms) == 28 and len(kinds) >= 15
     assert {(1, 1), (2, 1), (4, 2), (6, 3)} <= set(kinds)
+
+
+def test_field_conj_reduces_as_it_composes():
+    # the Horner conjugation against the composition reduced at the end,
+    # on reduced and unreduced elements of the knot groups' fields
+    rng = random.Random(19)
+    fields = [group.endomorphism_field()[1] for group in _knot_groups(8)]
+    assert {nf.degree for nf in fields} == {4, 6}
+
+    def element(nf):
+        return QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(rng.randint(0, 2 * nf.degree + 1))])
+
+    for nf in fields:
+        for _ in range(6):
+            a, b = element(nf), element(nf)
+            conj_a = field_conj(nf, a)
+            assert conj_a == a.compose(nf.involution_image) % nf.minpoly
+            assert field_conj(nf, conj_a) == a % nf.minpoly
+            assert field_conj(nf, field_mul(nf, a, b)) == \
+                field_mul(nf, conj_a, field_conj(nf, b))

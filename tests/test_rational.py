@@ -805,6 +805,62 @@ def test_real_roots_in_a_closed_interval(case):
         assert p.eval(a) * p.eval(b) < 0
 
 
+def test_sign_at_root_raises_when_g_vanishes_at_the_root():
+    # g = x - 1 vanishes at the root 1 of x^2 - 1 in (0, 2): the Tarski
+    # query counts 0
+    with pytest.raises(ValueError, match="vanishes"):
+        sign_at_root(QPoly([-1, 1]), QPoly([-1, 0, 1]), (0, 2))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@integer_kernel_cases(300)
+@given(linear_products(),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=10),
+                min_size=1, max_size=6),
+       st.integers(min_value=-1, max_value=4))
+def test_sign_at_root_is_the_sign_at_a_rational_root(case, coeffs, through):
+    # h has the known roots; g passes through one of them when through
+    # names one
+    h, roots, _, _ = case
+    g = QPoly(coeffs)
+    if 0 <= through < len(roots):
+        g = g * QPoly([-roots[through], 1])
+    assume(not g.is_zero())
+    count, intervals = real_root_data(h)
+    assert count == len(roots)
+    for a, b in intervals:
+        [r] = [r for r in roots if a < r < b]
+        if g.eval(r) == 0:
+            with pytest.raises(ValueError):
+                sign_at_root(g, h, (a, b))
+        else:
+            assert sign_at_root(g, h, (a, b)) == _sign(g.eval(r))
+
+
+@integer_kernel_cases(300)
+@given(st.integers(min_value=2, max_value=200),
+       st.fractions(min_value=-20, max_value=20, max_denominator=7),
+       st.fractions(min_value=-20, max_value=20, max_denominator=7))
+def test_sign_at_root_is_the_sign_at_a_square_root(m, u, v):
+    # g = u + v x at the roots +-sqrt(m) of h = x^2 - m: the sign of
+    # u + w sqrt(m) is exact from u^2 against w^2 m when u, w differ in sign
+    assume(math.isqrt(m) ** 2 != m and (u, v) != (0, 0))
+    h, g = QPoly([-m, 0, 1]), QPoly([u, v])
+    count, intervals = real_root_data(h)
+    assert count == 2
+    for a, b in intervals:
+        # (a, b) isolates sqrt(m) exactly when b > sqrt(m)
+        w = v if b > 0 and b * b > m else -v
+        if _sign(u) * _sign(w) < 0:
+            expected = _sign(u) if u * u > w * w * m else _sign(w)
+        else:
+            expected = _sign(u) or _sign(w)
+        assert sign_at_root(g, h, (a, b)) == expected
+
+
 # ---------------------------------------------------------------------------
 # the integer form of a matrix, computed once; the trusted constructor
 # ---------------------------------------------------------------------------
