@@ -9,21 +9,26 @@ strictly decreases, so the loop terminates.
 
 Simplicity is certified.  One MeatAxe walk (`_walk`) spins vectors of
 ker p(a) for the irreducible factors p of the minimal polynomials of
-sampled algebra elements a, and Norton's criterion decides when ker p(a) is
-a line over Q[a]/(p).  An element a = alpha b + beta I of an earlier
-element b is not factored again: its factors are the images of b's, and
-its kernels are b's, each computed once a walk.  `is_simple` takes its first finding, and the
-isotropic search its smallest isotropic spin or its certificate, which the
-reduction loop takes as is.  A spin from ker p(a) contains Q[a]v and so has
-dimension at least deg p: once the search holds a candidate of dimension
-<= deg p it spins no further vector of a kernel of p that is not a line
-(a line is still spun once, for Norton's test).  Nor does the search spin a
-vector v on which phi(v, v) or phi(v, m v), m a generator, is nonzero: its
-spin contains v and m v, so it is not isotropic.  The complete fallback
-computes the Jacobson radical of the acting algebra through the trace form
-(valid in characteristic zero) and then hunts for zero divisors or
-idempotents in the endomorphism ring; quaternion endomorphism algebras over
-Q are decided exactly by Hilbert symbols on the norm form.  Each isotypic group builds its
+algebra elements a taken from a fixed list of words in the generators (no
+random words: `_element_stream`), and Norton's criterion decides when
+ker p(a) is a line over Q[a]/(p).  An element a = alpha b + beta I of an
+earlier element b is not factored again: its factors are the images of
+b's, and its kernels are b's, each computed once a walk.  `is_simple`
+takes its first finding, and the isotropic search its smallest isotropic
+spin or its certificate, which the reduction loop takes as is.  A spin from
+ker p(a) contains Q[a]v and so has dimension at least deg p: once the
+search holds a candidate of dimension <= deg p it spins no further vector
+of a kernel of p that is not a line (a line is still spun once, for
+Norton's test).  Nor does the search spin a vector v on which phi(v, v) or
+phi(v, m v), m a generator, is nonzero: its spin contains v and m v, so it
+is not isotropic.  The complete fallback computes the Jacobson radical of
+the acting algebra through the trace form (valid in characteristic zero)
+and then hunts for zero divisors or idempotents in the endomorphism ring;
+quaternion endomorphism algebras over Q are decided exactly by Hilbert
+symbols on the norm form.  Each submodule is built once, from its basis:
+the search's candidate, the witnesses of `is_simple` and the perp; a
+simple inside one is included by composing (the maps X with m B = B X are
+unique for B of full column rank).  Each isotypic group builds its
 endomorphism field at most once, for its pair cancellation and its report.
 """
 
@@ -110,11 +115,10 @@ def _trace(m: QMatrix) -> Fraction:
 # simplicity
 # ---------------------------------------------------------------------------
 
-_STREAM_RNG_SEED = 0xA1FA
-
-
 def _element_stream(V: SeifertModule):
-    """Deterministic stream of algebra elements used for MeatAxe sampling."""
+    """The algebra elements of the MeatAxe walk: s, s e + e s, s e for each
+    projection e, a b + b for each pair of generators (eight or more when
+    mu >= 2; s, 2s, s, s + I when mu = 1, then 0, whose one kernel is V)."""
     gens = V.generators()
     s = V.s
     yield s
@@ -124,28 +128,19 @@ def _element_stream(V: SeifertModule):
         yield s * e
     for a, b in itertools.combinations(gens, 2):
         yield a * b + b
-    rng = random.Random(_STREAM_RNG_SEED)
-    for _ in range(4):
-        # short random words with small integer coefficients
-        terms, coeffs = [], []
-        for _ in range(rng.randint(2, 4)):
-            w = QMatrix.identity(V.dim)
-            for _ in range(rng.randint(1, 3)):
-                w = w * rng.choice(gens)
-            terms.append(w)
-            coeffs.append(rng.randint(-3, 3))
-        yield lincomb(coeffs, terms)
+    if V.mu == 1:
+        yield QMatrix.zeros(V.dim, V.dim)
 
 
 def _factor_kernels(V: SeifertModule):
-    """(count, a, kernels) for the first eight sampled algebra elements a,
-    kernels lazily yielding (p, columns of ker p(a)) for each irreducible
-    factor p of the minimal polynomial of a, in `factor_rational_poly`'s
-    order.
+    """(count, a, kernels) for the first eight elements a of
+    `_element_stream` (its five when mu = 1), kernels lazily yielding
+    (p, columns of ker p(a)) for each irreducible factor p of the minimal
+    polynomial of a, in `factor_rational_poly`'s order.
 
     An element a = alpha b + beta I (alpha != 0) of an earlier element b is
     an affine repeat of b (`_affine_repeat`; with mu = 1 the stream yields
-    s, 2s, s and s + I).  It is not factored: its factors are the monic
+    s, 2s, s, s + I and 0).  It is not factored: its factors are the monic
     p((x - beta)/alpha) of b's factors p, sorted the same way (the monic
     irreducible factors are unique), and ker of the image of p at a is
     ker p(b).  Each such kernel is computed once, when b or a repeat first
@@ -458,16 +453,15 @@ def _solve_conic(a: Fraction, b: Fraction):
 # ---------------------------------------------------------------------------
 
 def find_simple_submodule(V: SeifertModule):
-    """A certified simple submodule: (module, inclusion into V, certificate)."""
-    current = V
-    incl_chain = QMatrix.identity(V.dim)
+    """A certified simple submodule: (module, inclusion into V, certificate).
+    The identity of V is composed with each witness of `is_simple` until
+    the witness's module is certified; nothing is built again."""
+    incl = SeifertMorphism.identity(V)
     while True:
-        simple, payload = is_simple(current)
+        simple, payload = is_simple(incl.source)
         if simple:
-            sub, incl = submodule_from_basis(V, incl_chain)
-            return sub, incl, payload
-        incl_chain = incl_chain * payload.matrix
-        current = payload.source
+            return incl.source, incl, payload
+        incl = incl.compose(payload)
 
 
 def composition_series(V: SeifertModule):
@@ -598,16 +592,14 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
         iso_incl, cert = _isotropic_search(g)
         if cert is not None:
             # certified simple by the walk itself
-            simple = g.module
-            incl = SeifertMorphism(simple, simple,
-                                   QMatrix.identity(simple.dim), check=False)
+            incl = SeifertMorphism.identity(g.module)
+            simple = incl.source
         else:
             # a simple inside the isotropic candidate (isotropic too), or g
             within = g.module if iso_incl is None else iso_incl.source
             simple, incl, cert = find_simple_submodule(within)
             if iso_incl is not None:
-                simple, incl = submodule_from_basis(
-                    g.module, iso_incl.matrix * incl.matrix)
+                incl = iso_incl.compose(incl)
         restriction = restrict_form(g, incl)
         if restriction.phi.is_zero():
             reduced, _section = induced_form_on_subquotient(g, incl)
@@ -635,18 +627,16 @@ def isotypic_group(pieces, log=None) -> list:
     for item in pieces:
         module, form = item[0], item[1]
         cert = item[2] if len(item) > 2 else None
-        placed = False
         for gr in groups:
             iso = find_isomorphism(module, gr.module)
             if iso is not None:
                 gr.forms.append(form.transport(iso))
                 gr.witnesses.append(iso)
-                placed = True
                 break
-        if not placed:
-            ident = SeifertMorphism(module, module,
-                                    QMatrix.identity(module.dim), check=False)
-            groups.append(IsotypicGroup(module, [form], [ident], cert))
+        else:
+            groups.append(IsotypicGroup(module, [form],
+                                        [SeifertMorphism.identity(module)],
+                                        cert))
     if log is not None:
         log.append(f"isotypic grouping: {len(groups)} class(es), sizes "
                    f"{[len(g.forms) for g in groups]}")

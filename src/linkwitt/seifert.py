@@ -145,6 +145,12 @@ class SeifertMorphism:
         if check and not self.intertwines():
             raise SeifertError("matrix does not intertwine the structure maps")
 
+    @staticmethod
+    def identity(V: SeifertModule) -> "SeifertMorphism":
+        """V as a submodule of itself, over Q like every submodule."""
+        source = V if V.ring == "Q" else V.promote()
+        return SeifertMorphism(source, V, QMatrix.identity(V.dim), check=False)
+
     def intertwines(self) -> bool:
         f = self.matrix
         if f * self.source.s != self.target.s * f:

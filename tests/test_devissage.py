@@ -811,3 +811,101 @@ def test_the_bench_ops_factor_fewer_elements(monkeypatch, tmp_path):
             assert cli.main(op["argv"]) == 0
     assert calls["minimal_polynomial"] <= 820
     assert calls["factor_rational_poly"] <= 820
+
+
+def test_the_composed_inclusion_is_the_rebuilt_one(monkeypatch):
+    # the maps X with m B = B X are unique for a basis B of full column
+    # rank, so composing the witnesses of is_simple gives the module that
+    # submodule_from_basis builds from the composed basis
+    import linkwitt.devissage as dv
+    from linkwitt.seifert import submodule_from_basis
+    Vp = worked_example_simple()
+    modules = [f.module for f in _oracle_forms()]
+    modules += [worked_example_module(), Vp.direct_sum(Vp),
+                SeifertModule.from_blocks(2, S_PRIME, [2, 2], ring="Z")]
+    tested = []
+    decide = dv.is_simple
+
+    def counted(V):
+        tested.append(V)
+        return decide(V)
+
+    monkeypatch.setattr(dv, "is_simple", counted)
+    depths = []
+    for V in modules:
+        tested.clear()
+        simple, incl, cert = find_simple_submodule(V)
+        depths.append(len(tested) - 1)
+        assert incl.source is simple and incl.target is V
+        assert incl.intertwines()
+        rebuilt = submodule_from_basis(V, incl.matrix)[0]
+        assert simple.s == rebuilt.s
+        assert simple.projections == rebuilt.projections
+        assert simple.ring == rebuilt.ring == "Q"
+        assert cert is not None
+    assert depths[-1] == 0 and max(depths) >= 2
+
+
+def test_the_bench_ops_build_fewer_subquotients(monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 built 1,354 subquotients
+    # when each inclusion of a simple was built again from its basis
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt.seifert as sf
+    from linkwitt import cli
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops("metabolic_pairs", 11, 120)
+    gen.write_ops(ops, str(tmp_path))
+    calls = []
+    subquotient = sf._subquotient
+
+    def counted(*args):
+        calls.append(args)
+        return subquotient(*args)
+
+    monkeypatch.setattr(sf, "_subquotient", counted)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    assert len(calls) <= 720
+
+
+def test_the_mu_one_stream_ends_with_the_zero_element():
+    # with e_1 = I the structural words are s, 2s, s and s + I; the zero
+    # element's one kernel is V
+    from support import random_module
+    from linkwitt.devissage import _element_stream
+    for n in range(1, 6):
+        V = random_module(random.Random(n), 1, n)
+        s = V.s
+        assert list(_element_stream(V)) == [
+            s, s.scale(2), s, s + QMatrix.identity(n), QMatrix.zeros(n, n)]
+
+
+def test_the_seed11_op187_difference_passes_to_subquotients(monkeypatch,
+                                                             tmp_path):
+    # the seed-11 metabolic_pairs op 187 compares two mu = 1 forms; spins
+    # from the zero element's kernel, all of V, find isotropic simples of
+    # their 8-dimensional difference.  Without the zero element the
+    # reduction split off four simples of dimension 2 and cancelled two
+    # hyperbolic pairs.
+    import importlib
+    import pathlib
+    from linkwitt import cli
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    op = gen.make_ops("metabolic_pairs", 11, 188)[187]
+    gen.write_ops([op], str(tmp_path))
+    (_ma, fa), (_mb, fb) = (cli.load_input(p) for p in op["argv"][1:3])
+    difference = fa.promote().direct_sum(fb.promote().negate())
+    assert difference.module.mu == 1 and difference.module.dim == 8
+    assert witt_reduce(difference).log == [
+        "seed 0",
+        "isotropic simple of dim 2: pass to subquotient of dim 4",
+        "isotropic simple of dim 2: pass to subquotient of dim 0",
+        "isotypic grouping: 0 class(es), sizes []"]
