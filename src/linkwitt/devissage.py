@@ -235,11 +235,10 @@ def _walk(V: SeifertModule, held=None, phi=None):
         yield 0, [("simple", SimpleCertificate("dimension-1"))]
         return
     for count, a, kernels in _factor_kernels(V):
-        yield count, _kernel_findings(V, count, a, kernels, held, phi)
+        yield count, _kernel_findings(V, a, kernels, held, phi)
 
 
-def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
-                     held, phi):
+def _kernel_findings(V: SeifertModule, a: QMatrix, kernels, held, phi):
     n = V.dim
     gens = V.generators()
     ints = None if phi is None else [integer_matrix(g)[1] for g in gens]
@@ -251,7 +250,7 @@ def _kernel_findings(V: SeifertModule, count: int, a: QMatrix, kernels,
                 spun = spin([g.transpose() for g in gens], [w], n)
                 if spun.dim() == n:
                     yield "simple", SimpleCertificate(
-                        "norton", {"element_index": count, "factor": p})
+                        "norton", {"element": a, "factor": p})
                     return
                 yield "dual", kernel_columns(spun.basis_matrix())
             else:
@@ -503,7 +502,8 @@ class IsotypicGroup:
         f of the group (the same for all: b' = b u with u in the commutative
         End(module)), or a NoncommutativeEndomorphism."""
         if self._end is None:
-            ring = endofield.endomorphism_ring(self.module, assume_simple=True)
+            ring = endofield.endomorphism_ring(self.module, assume_simple=True,
+                                               certificate=self.certificate)
             nf = endofield.as_number_field(ring)
             if not isinstance(nf, endofield.NoncommutativeEndomorphism):
                 f = self.forms[0]

@@ -2,7 +2,8 @@
 transport and norm classes.
 
 The endomorphism ring of a simple module over Q is a division algebra of
-finite rational dimension, read off `hom_space` with the identity first.
+finite rational dimension, read off the Norton element when that is cyclic
+and off `hom_space` otherwise, in one basis, with the identity first.
 Commutative rings are presented as number fields by a primitive element,
 whose degree dim End(M) itself proves commutativity; a nonsingular form b
 induces the involution f -> b^{-1} f^T b, expressed as a polynomial in the
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace,
-                       factor_rational_poly, is_irreducible, kernel_columns,
-                       lincomb, minimal_polynomial, norm_class_test_quadratic,
+                       factor_rational_poly, is_irreducible,
+                       is_rational_square, kernel_columns, lincomb,
+                       minimal_polynomial, norm_class_test_quadratic,
                        solve_or_kernel, span_coordinates, squarefree_part)
-from .seifert import SeifertForm, SeifertModule, hom_space
+from .seifert import SeifertForm, SeifertModule, hom_space, reduced_map_basis
 
 
 class EndomorphismError(ValueError):
@@ -51,18 +53,19 @@ class EndomorphismRing:
                    for a, b in itertools.combinations(self.basis, 2))
 
 
-def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
-                      ) -> EndomorphismRing:
+def endomorphism_ring(M: SeifertModule, assume_simple: bool = False,
+                       certificate=None) -> EndomorphismRing:
     """Basis of End(M) for a simple module M, the identity first.
 
-    Hom(M, M) is closed under composition, so no structure constants are
-    formed.  Rejects inputs whose endomorphism ring visibly contains zero
-    divisors (e.g. M + M); full simplicity certification is the caller's
-    business.
+    The basis is `hom_space(M, M)`'s, read off the Norton element when it
+    is cyclic (`_cyclic_endomorphisms`).  Hom(M, M) is closed under
+    composition, so no structure constants are formed.  Rejects inputs
+    whose endomorphism ring visibly contains zero divisors (e.g. M + M);
+    full simplicity certification is the caller's business.
     """
     if M.dim == 0:
         raise EndomorphismError("zero module")
-    basis = hom_space(M, M)
+    basis = _cyclic_endomorphisms(M, certificate) or hom_space(M, M)
     if not basis:
         raise EndomorphismError("empty endomorphism ring")
     # normalize: identity first; the basis is independent, so the identity
@@ -78,6 +81,29 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False
                 raise EndomorphismError("not simple: endomorphism with "
                                         "reducible minimal polynomial")
     return EndomorphismRing(M, reordered)
+
+
+def _cyclic_endomorphisms(M: SeifertModule, certificate):
+    """End(M) for a Norton certificate (a, p) with deg p = dim M = n, else
+    None.  Then p(a) = 0 with p irreducible: a is cyclic, End(M) lies in
+    its centralizer Q[a] and is the r(a), deg r < n, with sum r_i [a^i, g]
+    = 0 for each generator g that a does not commute with (none if mu = 1)."""
+    if certificate is None or certificate.kind != "norton":
+        return None
+    a, n = certificate.detail["element"], M.dim
+    if certificate.detail["factor"].degree() != n:
+        return None
+    powers = [QMatrix.identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * a)
+    rows = []
+    for g in M.generators():
+        if not (a * g - g * a).is_zero():
+            rows += zip(*[(m * g - g * m).flat() for m in powers])
+    if rows:
+        K = kernel_columns(QMatrix.from_rows(rows))
+        powers = [lincomb(K.col(j), powers) for j in range(K.cols)]
+    return reduced_map_basis(powers)
 
 
 def _basis_with_identity_first(basis: list, ident: QMatrix) -> list:
@@ -376,7 +402,7 @@ def norm_class(nf: NumberFieldWithInvolution, d: QPoly) -> bool | None:
         raise EndomorphismError("zero discriminant")
     if nf.involution_image is None or nf.involution_is_trivial():
         if nf.degree == 1:
-            return squarefree_part(d.coeff(0)) == 1
+            return is_rational_square(d.coeff(0))
         return None
     if field_conj(nf, d) != d:
         return False    # norms are fixed by the involution

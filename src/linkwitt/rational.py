@@ -1301,9 +1301,9 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 def _is_probable_prime(n: int) -> bool:
     """Baillie-PSW: strong Fermat tests to the bases 2..37 and a strong
     Lucas test with Selfridge parameters.  The bases alone are proven only
-    below 3.3e24 and pass strong pseudoprimes such as
-    318665857834031151167461.  No composite is known to pass both tests,
-    and none below 2^64 does."""
+    below 318665857834031151167461 (about 3.2e23), the least strong
+    pseudoprime to all of them; 3.3e24 is the bound for the bases 2..41.
+    No composite is known to pass both tests, and none below 2^64 does."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -1425,6 +1425,14 @@ def factor_int(n: int) -> dict:
                 f = _pollard_rho(m)
                 stack.extend([f, m // f])
     return out
+
+
+def is_rational_square(x) -> bool:
+    """Whether a rational is a square: `math.isqrt` on the numerator and
+    the denominator of its lowest terms, with no factoring."""
+    x = rat(x)
+    return x >= 0 and all(math.isqrt(k) ** 2 == k
+                          for k in (x.numerator, x.denominator))
 
 
 def squarefree_part(x) -> int:

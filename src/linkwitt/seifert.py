@@ -452,15 +452,20 @@ def hom_space(V: SeifertModule, W: SeifertModule) -> list:
     kernel = kernel_columns(QMatrix(len(rows), u, rows))
     if kernel.cols == 0:
         return []
-    # F = [F(b_1) ... F(b_n)] B^-1 for each kernel vector, flattened
-    flat = []
-    for x in range(kernel.cols):
-        w = kernel.col(x)
-        FB = QMatrix(nV, nW, [im.apply(w) for im in images]).transpose()
-        flat.append((FB * B_inv).flat()[::-1])
-    R, _pivots = QMatrix.from_rows(flat).rref()
-    return [QMatrix(nW, nV, [row[::-1][i * nV:(i + 1) * nV]
-                             for i in range(nW)])
+    # F = [F(b_1) ... F(b_n)] B^-1 for each kernel vector
+    return reduced_map_basis([
+        QMatrix(nV, nW, [im.apply(kernel.col(x)) for im in images])
+        .transpose() * B_inv for x in range(kernel.cols)])
+
+
+def reduced_map_basis(maps: list) -> list:
+    """`hom_space`'s basis of the span of the independent matrices `maps`:
+    the rref of their reversed row-major entries, read back in reverse.  A
+    reduced echelon form depends only on the row space, not on `maps`."""
+    rows, cols = maps[0].rows, maps[0].cols
+    R, _pivots = QMatrix.from_rows([m.flat()[::-1] for m in maps]).rref()
+    return [QMatrix(rows, cols, [row[::-1][i * cols:(i + 1) * cols]
+                                 for i in range(rows)])
             for row in reversed(R.data)]
 
 

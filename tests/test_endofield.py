@@ -597,3 +597,125 @@ def test_field_conj_reduces_as_it_composes():
             assert field_conj(nf, conj_a) == a % nf.minpoly
             assert field_conj(nf, field_mul(nf, a, b)) == \
                 field_mul(nf, conj_a, field_conj(nf, b))
+
+
+def _certified_simples():
+    """(module, certificate) for the knot groups of `_knot_groups` and for
+    the first simple submodule of random forms (mu = 1, 2, 3) and random
+    modules (mu = 2, 3), whose Norton elements need not commute with the
+    projections."""
+    from linkwitt.devissage import find_simple_submodule
+    from support import random_module
+    out = [(g.module, g.certificate) for g in _knot_groups(10)]
+    # W (x) Q(sqrt 2) for the simple W = <[[1, 2], [3, 4]], blocks 1 + 1>:
+    # End = Q(sqrt 2), and s commutes with neither projection
+    s = QMatrix(4, 4, [[1, 2, 2, 0], [1, 1, 0, 2], [3, 0, 4, 2],
+                       [0, 3, 1, 4]])
+    out.append(find_simple_submodule(
+        SeifertModule.from_blocks(2, s, [2, 2]))[::2])
+    for mu in (1, 2, 3):
+        for seed in range(6):
+            f = random_form(random.Random(seed), mu, 6, -1)
+            out.append(find_simple_submodule(f.module)[::2])
+    for mu in (2, 3):
+        for dim in (2, 3, 4):
+            for seed in range(4):
+                V = random_module(random.Random(seed), mu, dim)
+                out.append(find_simple_submodule(V)[::2])
+    return out
+
+
+def _is_cyclic_norton(M, cert):
+    return cert.kind == "norton" and cert.detail["factor"].degree() == M.dim
+
+
+def test_norton_endomorphisms_are_the_hom_space_basis():
+    # End(M) read off the powers of a cyclic Norton element is hom_space's
+    # reduced basis itself, also where the commutators [a^i, g] cut Q[a]
+    from linkwitt.endofield import _cyclic_endomorphisms
+    from linkwitt.seifert import hom_space
+    seen = []
+    for M, cert in _certified_simples():
+        if not _is_cyclic_norton(M, cert):
+            assert _cyclic_endomorphisms(M, cert) is None
+            continue
+        a = cert.detail["element"]
+        commuting = all((a * g - g * a).is_zero() for g in M.generators())
+        basis = hom_space(M, M)
+        assert _cyclic_endomorphisms(M, cert) == basis
+        seen.append((M.mu, M.dim, commuting, len(basis)))
+    assert {key[0] for key in seen} == {1, 2, 3}
+    assert (1, 4, True, 4) in seen and (1, 6, True, 6) in seen
+    assert sum(1 for key in seen if not key[2]) >= 5
+    assert (2, 4, False, 2) in seen
+
+
+def test_endomorphism_ring_keeps_hom_space_off_the_cyclic_case(
+        monkeypatch):
+    # a Norton element of degree below dim M, a schur-field certificate and
+    # no certificate at all each take one hom_space solve, to the same ring
+    import linkwitt.endofield as ef
+    from linkwitt.devissage import _semisimple_witness
+    cases = [(M, cert) for M, cert in _certified_simples()
+             if cert.kind == "norton" and not _is_cyclic_norton(M, cert)]
+    assert len(cases) >= 3
+    schur = worked_example_simple()
+    cases += [(schur, _semisimple_witness(schur)[1]), (schur, None)]
+    assert cases[-2][1].kind == "schur-field"
+    expected = [endomorphism_ring(M).basis for M, _cert in cases]
+    calls = []
+    hom_space = ef.hom_space
+
+    def counted(V, W):
+        calls.append(V)
+        return hom_space(V, W)
+
+    monkeypatch.setattr(ef, "hom_space", counted)
+    for (M, cert), basis in zip(cases, expected):
+        before = len(calls)
+        assert endomorphism_ring(M, certificate=cert).basis == basis
+        assert len(calls) == before + 1
+
+
+def test_cyclic_groups_build_their_fields_without_hom_space(monkeypatch):
+    # every genus-2 and genus-3 knot group is certified by a cyclic Norton
+    # element, so its field and the whole report take no hom_space solve
+    # in the field layer (find_isomorphism in the grouping still takes one)
+    import linkwitt.endofield as ef
+    from linkwitt.devissage import witt_reduce
+    from linkwitt.wittinv import analyze_form
+    from support import conjugate_form, knot_form
+
+    def refuse(V, W):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(ef, "hom_space", refuse)
+    for seed in range(4):
+        rng = random.Random(seed)
+        f = knot_form(rng, 2 + seed % 2)
+        for g in (f, conjugate_form(rng, f)):
+            for group in witt_reduce(g).groups:
+                assert _is_cyclic_norton(group.module, group.certificate)
+                ring, nf = group.endomorphism_field()
+                assert ring.basis[0] == QMatrix.identity(group.module.dim)
+                assert nf.degree == ring.dim
+            analyze_form(g)
+
+
+def test_norm_class_decides_rational_squares_without_factoring(
+        monkeypatch):
+    # <N, 3> with N a 40-digit semiprime: the pair cancellation asks
+    # whether -3/N is a square, which isqrt answers with no factoring
+    import linkwitt.rational as r
+    from linkwitt.endofield import norm_class
+    N = (10 ** 19 + 51) * (10 ** 19 + 87)
+    nf = _rational_field_on(
+        SeifertModule.from_blocks(1, QMatrix(1, 1, [["1/2"]]), [1]))
+
+    def refuse(n):
+        raise AssertionError(f"factor_int({n}) called")
+
+    monkeypatch.setattr(r, "factor_int", refuse)
+    assert norm_class(nf, QPoly([Fraction(-3, N)])) is False
+    assert norm_class(nf, QPoly([Fraction(3, N)])) is False
+    assert norm_class(nf, QPoly([Fraction(9 * N, N ** 3)])) is True

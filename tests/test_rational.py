@@ -223,6 +223,17 @@ def test_squarefree_part_of_integers():
     assert squarefree_part(Fraction(2, 3)) == 6
 
 
+@given(st.one_of(
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 4),
+    st.fractions(min_value=-1000, max_value=1000,
+                 max_denominator=100).map(lambda x: x * x)).filter(bool))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_is_rational_square_agrees_with_squarefree_part(x):
+    from linkwitt.rational import is_rational_square
+    assert is_rational_square(x) == (squarefree_part(x) == 1)
+
+
 def test_matrix_inverse_roundtrip():
     rng = random.Random(14)
     for _ in range(8):
