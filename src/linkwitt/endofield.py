@@ -211,7 +211,8 @@ def field_reduce(nf: NumberFieldWithInvolution, p: QPoly) -> QPoly:
 
 
 def field_mul(nf, a: QPoly, b: QPoly) -> QPoly:
-    return (a * b) % nf.minpoly
+    """a b mod the minimal polynomial, whose integer model is kept."""
+    return a.mulmod(b, nf.minpoly)
 
 
 def field_inv(nf, a: QPoly) -> QPoly:

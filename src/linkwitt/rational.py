@@ -3,7 +3,8 @@
 Matrices, univariate polynomials, polynomial factorization, real root
 isolation, integer factorization, square classes, and the places of Q with
 their Hilbert symbols.  Entries and coefficients are read and returned as
-`fractions.Fraction`, but the matrix kernels compute on integers.
+`fractions.Fraction`, but the matrix and polynomial kernels compute on
+integers.
 `RowSpace`, `spin`, `rref` (behind `coordinates`, `kernel_columns`,
 `solve_or_kernel`) and the Krylov chains of `minimal_polynomial` eliminate
 on primitive integer multiples of their rows; a reduced row echelon form
@@ -11,9 +12,12 @@ depends only on the row space, so each result is the one Gauss-Jordan over
 Q gives.  Matrix products, `QPoly.eval_matrix`, `QMatrix.det`, `spin` and
 `minimal_polynomial` work on the integer matrix dM of `integer_matrix`, d
 the common denominator, and divide once, when the result is read out; dM
-is computed at most once per matrix and kept on it.  Builders whose
-entries are Fractions already skip the parsing constructor
-(`QMatrix._of`).  No floating point is used
+is computed at most once per matrix and kept on it.  Polynomial products,
+remainders (one pseudo-division loop), field multiplication
+(`QPoly.mulmod`) and evaluation work likewise on the integer model Lp of
+`integer_poly`, L the common denominator, kept on each polynomial, and
+read out once.  Builders whose entries are Fractions already skip the
+parsing constructor (`QMatrix._of`, `QPoly._of`).  No floating point is used
 anywhere; every sign of a real algebraic number is a Tarski query, sign
 variations of one signed remainder sequence (`sturm_chain`), the sequence
 that also counts and isolates the real roots.
@@ -427,23 +431,24 @@ def _integer_product(A: list, B: list, cols: int) -> list:
     return out
 
 
+def _over(D: int, xs) -> list:
+    """The Fractions x / D for the integers xs and D > 0, each in lowest
+    terms from one gcd, with no parsing and no second normalization."""
+    out = []
+    for x in xs:
+        if x:
+            g = math.gcd(x, D)
+            q = object.__new__(Fraction)
+            q._numerator, q._denominator = x // g, D // g
+            out.append(q)
+        else:
+            out.append(Q0)
+    return out
+
+
 def _read_out(D: int, rows: list, cols: int) -> QMatrix:
-    """The QMatrix of dense integer rows, `cols` wide, divided by D > 0.
-    Each entry is built in lowest terms from its gcd with D, with no
-    parsing and no second normalization."""
-    data = []
-    for row in rows:
-        out = []
-        for x in row:
-            if x:
-                g = math.gcd(x, D)
-                q = object.__new__(Fraction)
-                q._numerator, q._denominator = x // g, D // g
-                out.append(q)
-            else:
-                out.append(Q0)
-        data.append(out)
-    return QMatrix._of(len(data), cols, data)
+    """The QMatrix of dense integer rows, `cols` wide, divided by D > 0."""
+    return QMatrix._of(len(rows), cols, [_over(D, row) for row in rows])
 
 
 def _primitive(v: list) -> list:
@@ -549,27 +554,43 @@ def spin(mats: list, vectors, width: int) -> RowSpace:
 # ---------------------------------------------------------------------------
 
 class QPoly:
-    """Univariate rational polynomial, coefficients lowest degree first."""
+    """Univariate rational polynomial, coefficients lowest degree first.
 
-    __slots__ = ("coeffs",)
+    Immutable: nothing writes to `coeffs` outside the two constructors
+    (`tests/test_immutable_polys.py` checks this), because `integer_poly`
+    keeps the integer model of each polynomial in `_ints` and a write would
+    leave that stale."""
+
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs):
         cs = [rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
+        self._ints = None
+
+    @staticmethod
+    def _of(coeffs: list) -> "QPoly":
+        """The trusted constructor: `coeffs` is a new list of `Fraction`s,
+        owned by the result from now on, and is not parsed."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        p = object.__new__(QPoly)
+        p.coeffs, p._ints = coeffs, None
+        return p
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly([])
+        return QPoly._of([])
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly([1])
+        return QPoly._of([Q1])
 
     @staticmethod
     def x() -> "QPoly":
-        return QPoly([0, 1])
+        return QPoly._of([Q0, Q1])
 
     @staticmethod
     def constant(c) -> "QPoly":
@@ -591,10 +612,11 @@ class QPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Q0
 
     def monic(self) -> "QPoly":
-        if self.is_zero():
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        l = self.lc()
-        return QPoly([c / l for c in self.coeffs])
+        A = integer_poly(self)[1]
+        sign = 1 if A[-1] > 0 else -1
+        return QPoly._of(_over(sign * A[-1], [sign * a for a in A]))
 
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -604,46 +626,46 @@ class QPoly:
 
     def __add__(self, other: "QPoly") -> "QPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return QPoly._of([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return QPoly._of([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._of([-c for c in self.coeffs])
 
     def __mul__(self, other):
+        """Scalar multiple, or the product: the integer models of
+        `integer_poly` are convolved and divided once, at the read-out."""
         if isinstance(other, (int, Fraction)):
-            return QPoly([rat(other) * c for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero()
-        out = [Q0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return QPoly(out)
+            return QPoly._of([rat(other) * c for c in self.coeffs])
+        L1, A = integer_poly(self)
+        L2, B = integer_poly(other)
+        return QPoly._of(_over(L1 * L2, _int_poly_mul(A, B)))
 
     __rmul__ = __mul__
 
+    def mulmod(self, other: "QPoly", modulus: "QPoly") -> "QPoly":
+        """(self * other) % modulus, with no Fraction in between: the
+        convolution of the integer models is pseudo-divided by the
+        modulus's and read out once."""
+        L1, A = integer_poly(self)
+        L2, B = integer_poly(other)
+        e, _, R = _pseudo_divmod(_int_poly_mul(A, B), integer_poly(modulus)[1])
+        return QPoly._of(_over(L1 * L2 * e, R))
+
     def divmod(self, other: "QPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        lead = d[-1]
-        q = [Q0] * max(0, len(r) - dd)
-        for i in range(len(r) - 1, dd - 1, -1):
-            if r[i]:
-                f = r[i] / lead
-                q[i - dd] = f
-                for j, c in enumerate(d):
-                    r[i - dd + j] -= f * c
-        return QPoly(q), QPoly(r)
+        """(q, r) with self = q other + r, deg r < deg other: for the
+        integer models A = L_a self and B = L_b other and e A = Q B + R
+        (`_pseudo_divmod`), q = Q L_b / (L_a e) and r = R / (L_a e)."""
+        if self.degree() < other.degree():
+            return QPoly.zero(), self
+        La, A = integer_poly(self)
+        Lb, B = integer_poly(other)
+        e, Q, R = _pseudo_divmod(A, B)
+        return (QPoly._of(_over(La * e, [Lb * x for x in Q])),
+                QPoly._of(_over(La * e, R)))
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
@@ -658,13 +680,17 @@ class QPoly:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return QPoly._of([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x: Fraction) -> Fraction:
-        acc = Q0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(u/v): Horner on the integer model A = L p gives the sum of
+        A_i u^i v^(k+1-i), k the degree, divided by L v^(k+1) once."""
+        L, A = integer_poly(self)
+        u, v = x.numerator, x.denominator
+        acc, vk = 0, 1
+        for a in reversed(A):
+            acc, vk = acc * u + a * vk, vk * v
+        return _over(L * vk, [acc * v])[0]
 
     def eval_matrix(self, M: QMatrix) -> QMatrix:
         """p(M), by Horner from the leading coefficient on the integer
@@ -680,9 +706,8 @@ class QPoly:
             return QMatrix.zeros(n, n)
         d, N = integer_matrix(M)
         k = self.degree()
-        L = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [c.numerator * (L // c.denominator) * d ** (k - i)
-                for i, c in enumerate(self.coeffs)]
+        L, A = integer_poly(self)
+        ints = [a * d ** (k - i) for i, a in enumerate(A)]
         acc = [[ints[k] if i == j else 0 for j in range(n)]
                for i in range(n)]
         for c in reversed(ints[:-1]):
@@ -729,6 +754,57 @@ class QPoly:
         return f"QPoly({self.format()})"
 
 
+def integer_poly(p: QPoly):
+    """(L, A): L the least common denominator of the coefficients of p and
+    A = L p as integers.  It is computed once per polynomial and kept on it
+    (`QPoly._ints`): read it, never change it."""
+    ints = p._ints
+    if ints is None:
+        L = math.lcm(*[c.denominator for c in p.coeffs])
+        ints = p._ints = (L, [c.numerator * (L // c.denominator)
+                              for c in p.coeffs])
+    return ints
+
+
+def _int_poly_mul(a: list, b: list) -> list:
+    """The product of two integer polynomials, lowest degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pseudo_divmod(A: list, B: list):
+    """(e, Q, R) with e A = Q B + R, e > 0 and len(R) < len(B), for integer
+    polynomials A and B != 0 (pseudo-division, Cohen, GTM 138, §3.1).  A
+    nonzero top coefficient t scales the running remainder by |b| / gcd(b,
+    t), b = B[-1], and e is the product of those scalings (1 if B is monic)."""
+    if not B:
+        raise ZeroDivisionError("polynomial division by zero")
+    R = list(A)
+    db = len(B) - 1
+    b = B[-1]
+    Q = [0] * max(0, len(R) - db)
+    e = 1
+    for i in range(len(R) - 1, db - 1, -1):
+        t = R[i]
+        if t:
+            g = math.gcd(t, b)
+            s, f = abs(b) // g, (t if b > 0 else -t) // g
+            k = i - db
+            if s != 1:
+                e *= s
+                R[:k] = [s * x for x in R[:k]]
+                Q[k + 1:] = [s * x for x in Q[k + 1:]]
+            R[k:i] = [s * x - f * y for x, y in zip(R[k:i], B)]
+            Q[k] = f
+    return e, Q, R[:db]
+
+
 def minimal_polynomial(M: QMatrix) -> QPoly:
     """Monic minimal polynomial: the lcm of the annihilators of the Krylov
     chains from the basis vectors, skipping each basis vector that the
@@ -758,7 +834,7 @@ def minimal_polynomial(M: QMatrix) -> QPoly:
             result = _int_poly_mul(result,
                                    _krylov_annihilator(N, _primitive(vec)))
     k = len(result) - 1
-    return QPoly([Fraction(c, d ** (k - i)) for i, c in enumerate(result)])
+    return QPoly._of([Fraction(c, d ** (k - i)) for i, c in enumerate(result)])
 
 
 def _krylov_annihilator(N: list, e: list) -> list:
@@ -940,36 +1016,6 @@ def _pm_invmod(a, m, p):
     return [x * inv % p for x in s0]
 
 
-def _int_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _int_poly_divmod(a, b):
-    """Exact division attempt in Z[x]; returns (q, r) with fractions cleared
-    only when b is monic."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            if a[i] % b[-1] != 0:
-                return None, a
-            f = a[i] // b[-1]
-            q[i - db] = f
-            for j, c in enumerate(b):
-                a[i - db + j] -= f * c
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def _symmetric(x, q):
     x %= q
     return x - q if 2 * x > q else x
@@ -1016,8 +1062,8 @@ def _factor_squarefree_monic_int(F, p=None):
                 continue
             if any(abs(c) > bound for c in cand):
                 continue
-            quo, rem = _int_poly_divmod(current, cand)
-            if quo is not None and not rem:
+            _, quo, rem = _pseudo_divmod(current, cand)
+            if not any(rem):
                 result.append(cand)
                 current = quo
                 remaining = [i for i in remaining if i not in subset]
@@ -1122,9 +1168,9 @@ def factor_rational_poly(p: QPoly):
                 # map back: factor of P is gi(a x) made monic
                 d = len(gi) - 1
                 coeffs = [Fraction(gi[i] * a ** i) for i in range(d + 1)]
-                fact = QPoly(coeffs).monic()
+                fact = QPoly._of(coeffs).monic()
             else:
-                fact = QPoly([Fraction(c) for c in gi])
+                fact = QPoly._of([Fraction(c) for c in gi])
             out.append((fact, mult))
     out.sort(key=lambda fm: factor_order(fm[0]))
     return content, out
@@ -1139,8 +1185,7 @@ def factor_order(p: QPoly):
 def _integer_model(p: QPoly) -> list:
     """The primitive integer multiple of a monic rational polynomial, whose
     leading coefficient is the common denominator of p's coefficients."""
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+    return integer_poly(p)[1]
 
 
 def is_irreducible(p: QPoly) -> bool:
@@ -1278,13 +1323,15 @@ def sign_at_root(g: QPoly, h: QPoly, interval) -> int:
     isolating interval (a, b), by a Tarski query: for h(a) h(b) != 0,
     Var(a) - Var(b) of the signed remainder sequence of h and h'g is the
     sum of the signs of g at the roots of h in (a, b) (Basu-Pollack-Roy,
-    Algorithms in Real Algebraic Geometry, Thm 2.58).  Raises ValueError
-    when g(r) = 0, which cannot happen when h is irreducible and g is
-    nonzero of lower degree."""
+    Algorithms in Real Algebraic Geometry, Thm 2.58).  It is the Cauchy
+    index of h'g/h, which h'g mod h has too, as the two differ by a
+    polynomial; the sequence starts from that remainder.  Raises
+    ValueError when g(r) = 0, which cannot happen when h is irreducible
+    and g is nonzero of lower degree."""
     a, b = interval
     if h.eval(a) == 0 or h.eval(b) == 0:
         raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(h, h.derivative() * g)
+    chain = sturm_chain(h, h.derivative().mulmod(g, h))
     sign = _sign_variations(chain, a) - _sign_variations(chain, b)
     if sign == 0:
         raise ValueError("g vanishes at the root")

@@ -1106,3 +1106,134 @@ def test_a_monic_squarefree_polynomial_searches_one_good_prime(
     assert _rebuilt(content, factors) == p
     monkeypatch.undo()
     assert (content, factors) == _factor_by_yun(p)
+
+
+# polynomial arithmetic on integer models against schoolbook Fractions
+
+def _school_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def _school_divmod(a: list, d: list):
+    r, n = list(a), len(d) - 1
+    q = [Fraction(0)] * max(0, len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        f = r[i] / d[-1]
+        q[i - n] = f
+        for j, c in enumerate(d):
+            r[i - n + j] -= f * c
+    return _trimmed(q), _trimmed(r)
+
+
+def _trimmed(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _well_formed(p: QPoly) -> bool:
+    # Fractions in lowest terms with a positive denominator, and no
+    # trailing zero
+    return (all(type(c) is Fraction and c.denominator > 0
+                and math.gcd(c.numerator, c.denominator) == 1
+                for c in p.coeffs)
+            and (not p.coeffs or p.coeffs[-1] != 0))
+
+
+DIVISORS = st.lists(ENTRIES, min_size=1, max_size=4).filter(
+    lambda cs: any(cs))
+ARGUMENTS = st.one_of(ENTRIES, st.integers(-BIG, BIG))
+
+
+@integer_kernel_cases(400)
+@given(POLY_COEFFS, POLY_COEFFS, DIVISORS, ARGUMENTS)
+@example([], [Fraction(3)], [Fraction(-2, 3)], Fraction(0))
+@example([Fraction(1, 2), Fraction(5)], [Fraction(7, 3)],
+         [Fraction(1), Fraction(2), Fraction(-3, BIG)], Fraction(-1, 2))
+@example([Fraction(BIG, 7), Fraction(0), Fraction(-1, BIG)],
+         [Fraction(-BIG, 11), Fraction(3, 5)],
+         [Fraction(2, 9), Fraction(-BIG + 1, 4)], Fraction(BIG, 3))
+@example([Fraction(4), Fraction(-6), Fraction(2)], [Fraction(1)],
+         [Fraction(5, 2)], 7)
+def test_polynomial_arithmetic_matches_schoolbook_fractions(a, b, d, x):
+    # d is non-monic, negative-lead, constant or of higher degree than a
+    # among the draws; every result is the Fraction computation's
+    from types import SimpleNamespace
+    from linkwitt.endofield import field_mul
+    p, q, m = QPoly(a), QPoly(b), QPoly(d)
+    ref_prod = _school_mul(p.coeffs, q.coeffs)
+    ref_q, ref_r = _school_divmod(p.coeffs, m.coeffs)
+    prod = p * q
+    quo, rem = p.divmod(m)
+    reduced = field_mul(SimpleNamespace(minpoly=m), p, q)
+    assert prod.coeffs == ref_prod
+    assert (quo.coeffs, rem.coeffs) == (ref_q, ref_r)
+    assert (p // m).coeffs == ref_q and (p % m).coeffs == ref_r
+    assert reduced.coeffs == _school_divmod(ref_prod, m.coeffs)[1]
+    value = Fraction(0)
+    for c in reversed(p.coeffs):
+        value = value * x + c
+    assert p.eval(x) == value and type(p.eval(x)) is Fraction
+    assert all(map(_well_formed, (prod, quo, rem, reduced, p.monic())))
+
+
+def test_division_by_the_zero_polynomial_raises():
+    p = QPoly([1, 2])
+    for op in (lambda: p.divmod(QPoly.zero()), lambda: p % QPoly.zero(),
+               lambda: p.mulmod(p, QPoly.zero())):
+        with pytest.raises(ZeroDivisionError):
+            op()
+
+
+def test_integer_poly_is_kept_on_the_polynomial(monkeypatch):
+    # the model of a polynomial is computed by its first use only, however
+    # many products, remainders and evaluations read it
+    from linkwitt.rational import integer_poly
+    p = QPoly([Fraction(1, 6), Fraction(-3, 4), Fraction(5, 9)])
+    h = QPoly([-2, 0, 1])
+    conversions = []
+    lcm = math.lcm
+
+    def counted(*args):
+        if sys._getframe(1).f_code is integer_poly.__code__:
+            conversions.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(math, "lcm", counted)
+    assert p._ints is None
+    for _ in range(3):
+        p * p, p % h, p.mulmod(p, h), p.eval(Fraction(2, 3)), p.monic()
+    assert integer_poly(p) is integer_poly(p)
+    assert integer_poly(p) == (36, [6, -27, 20])
+    assert conversions.count((6, 4, 9)) == 1
+    assert conversions.count((1, 1, 1)) == 1     # h
+
+
+@integer_kernel_cases(200)
+@given(st.lists(SMALL, min_size=2, max_size=5),
+       st.lists(SMALL, min_size=1, max_size=5),
+       st.lists(SMALL, min_size=2, max_size=2))
+def test_the_tarski_query_of_h_prime_g_mod_h_counts_the_same(hc, gc, ends):
+    # the Cauchy index of h'g/h is that of (h'g mod h)/h: on isolating
+    # intervals and on any interval whose endpoints are no roots of h, the
+    # two signed remainder sequences count the same
+    from linkwitt.rational import _sign_variations, sturm_chain
+    h = QPoly(hc).squarefree_part()
+    g = QPoly(gc)
+    assume(h.degree() >= 1 and not g.is_zero())
+    full = sturm_chain(h, h.derivative() * g)
+    reduced = sturm_chain(h, (h.derivative() * g) % h)
+    intervals = list(real_root_data(h)[1])
+    lo, hi = sorted(ends)
+    if lo < hi and h.eval(lo) and h.eval(hi):
+        intervals.append((lo, hi))
+    for a, b in intervals:
+        count = _sign_variations(full, a) - _sign_variations(full, b)
+        assert _sign_variations(reduced, a) - _sign_variations(reduced, b) \
+            == count
+        if count:
+            assert sign_at_root(g, h, (a, b)) == count
