@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .rational import QMatrix, rat, rat_str
@@ -60,7 +61,7 @@ def _parse_matrix(obj, n: int, what: str) -> QMatrix:
     if any(isinstance(x, bool) for row in obj for x in row):
         raise SchemaError(f"{what}: bad rational entry (boolean)")
     try:
-        return QMatrix(n, n, [[rat(x) for x in row] for row in obj])
+        return QMatrix._of(n, n, [[rat(x) for x in row] for row in obj])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: bad rational entry ({exc})")
 
@@ -194,15 +195,22 @@ def _json_chunks(val, newline: str, out: list) -> None:
             return
         inner = newline + "  "
         if all(type(x) is str for x in val):
-            out.append("[" + inner + ("," + inner).join(map(_json_str, val))
-                       + newline + "]")
+            items = map(_json_str, val)
+        elif (set(map(type, val)) == {list} and all(val)
+              and set(map(type, chain.from_iterable(val))) == {str}):
+            # the [word, coefficient] pairs of a serialized series
+            deeper = inner + "  "
+            items = ["[" + deeper + ("," + deeper).join(map(_json_str, x))
+                     + inner + "]" for x in val]
+        else:
+            sep = "[" + inner
+            for x in val:
+                out.append(sep)
+                _json_chunks(x, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
             return
-        sep = "[" + inner
-        for x in val:
-            out.append(sep)
-            _json_chunks(x, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
     elif isinstance(val, dict):
         if not val:
             out.append("{}")

@@ -5,10 +5,12 @@ module over the free-group ring; its augmentation is exactly the identity.
 Under the Magnus embedding z_i -> 1 + x_i the inverse of sigma is an exact
 rational power series whose word coefficients are signed products of the
 matrices s e_i, and the linking pairing on the presented module is computed
-from that series.  Its (-zeta)-hermitian symmetry is checked at truncation
-level: the residuals P_ij + zeta bar(P_ji) for i <= j are computed first,
-and zero residuals are themselves the certificate (the witness is zero).
-Only a nonzero residual is solved for a bounded-support group-ring witness.
+from that series, by one sweep over the words that keeps each product as
+integer rows over a denominator until it is read out (`_word_products`).
+The pairing's (-zeta)-hermitian symmetry is checked at truncation level:
+the residuals P_ij + zeta bar(P_ji) for i <= j are computed first, and zero
+residuals are themselves the certificate (the witness is zero).  Only a
+nonzero residual is solved for a bounded-support group-ring witness.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import Q0, Q1, QMatrix, rat, rat_str
+from .rational import (Q0, Q1, QMatrix, _integer_product, _over,
+                       integer_matrix, rat, rat_str)
 from .seifert import SeifertError, SeifertForm, SeifertModule
 
 
@@ -364,38 +367,42 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
 # exact rational series: linear representations
 # ---------------------------------------------------------------------------
 
-def _word_products(start: QMatrix, transitions: list, degree: int) -> dict:
-    """{word: start T_{i1} ... T_{ik}} for the words in the letters
-    1..len(transitions) of length <= degree (none when degree < 0), built
-    breadth-first with one matrix product per word.  The empty word is
-    always there; a longer word only when its product is nonzero, since
+def _word_products(start: QMatrix, transitions: list, degree: int):
+    """(word, state) pairs for the words in the letters 1..len(transitions)
+    of length <= degree (none when degree < 0), breadth-first, a level at a
+    time.  The state of w is start T_{i1} ... T_{ik} as (D, N): N is D times
+    it in `integer_matrix`'s sparse integer rows, D the product of the
+    denominators; one integer product per word, and no Fraction.  The empty
+    word always comes, a longer word only when some row of N is not empty:
     every extension of a zero product is zero and all consumers drop zero
-    coefficients.  Letters with a zero transition are never tried."""
-    products = {(): start} if degree >= 0 else {}
-    letters = [(i, t) for i, t in enumerate(transitions, start=1)
-               if not t.is_zero()]
-    frontier = [] if start.is_zero() else [((), start)]
+    coefficients.  Zero transitions are never tried."""
+    frontier = [((), integer_matrix(start))] if degree >= 0 else []
+    yield from frontier
+    letters = [(i, integer_matrix(t), t.cols)
+               for i, t in enumerate(transitions, start=1) if not t.is_zero()]
     for _ in range(degree):
         grown = []
-        for w, m in frontier:
-            for i, t in letters:
-                p = m * t
-                if not p.is_zero():
-                    products[w + (i,)] = p
-                    grown.append((w + (i,), p))
+        for w, (D, rows) in frontier:
+            for i, (d, N), cols in letters:
+                product = [[(j, x) for j, x in enumerate(row) if x]
+                           for row in _integer_product(rows, N, cols)]
+                if any(product):
+                    grown.append((w + (i,), (D * d, product)))
+        yield from grown
         frontier = grown
-    return products
 
 
-def _series_matrix(states: dict, n: int, degree: int) -> list:
-    """n x n matrix of truncated series whose entry (p, q) has, at each
-    word w, the coefficient states[w].data[p][q]."""
+def _series_matrix(states, n: int, degree: int) -> list:
+    """n x n matrix of truncated series: entry (p, q) has, at each word w of
+    the (w, (D, N)) pairs of `_word_products`, the coefficient N[p][q] / D in
+    lowest terms from one gcd; only the nonzero entries are visited."""
     out = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    for w, m in states.items():
-        for p, row in enumerate(m.data):
-            for q, c in enumerate(row):
-                if c:
-                    out[p][q].terms[w] = c
+    terms = [[t.terms for t in row] for row in out]
+    for w, (D, rows) in states:
+        values = iter(_over(D, [x for row in rows for _, x in row]))
+        for cells, row in zip(terms, rows):
+            for q, _ in row:
+                cells[q][w] = next(values)
     return out
 
 
@@ -422,9 +429,13 @@ class NCRationalSeries:
         return (v * self.col).data[0][0]
 
     def truncate(self, degree: int) -> TruncatedSeries:
+        dc, C = integer_matrix(self.col)
         states = _word_products(self.row, self.transitions, degree)
-        return TruncatedSeries(degree, {w: (v * self.col).data[0][0]
-                                        for w, v in states.items()})
+        return _series_matrix(
+            ((w, (D * dc, [[(0, x) for x in row if x]
+                           for row in _integer_product(rows, C, 1)]))
+             for w, (D, rows) in states),
+            1, degree)[0][0]
 
 
 @dataclass
@@ -525,11 +536,11 @@ def blanchfield_pairing(f: SeifertForm, degree: int):
     # read off sigma^{-1}: the coefficient of x_i w is phi^T (-e_i) times
     # that of w in sigma^{-1}; the pairing has no constant term
     steps = _sigma_transitions(V)
-    states = {}
-    for i, e in enumerate(V.projections, start=1):
-        tail = _word_products(phiT * e.scale(-1), steps, degree - 1)
-        states.update({(i,) + w: m for w, m in tail.items()})
-    trunc = _series_matrix(states, n, degree)
+    trunc = _series_matrix((((i,) + w, state)
+                            for i, e in enumerate(V.projections, start=1)
+                            for w, state in _word_products(
+                                phiT * e.scale(-1), steps, degree - 1)),
+                           n, degree)
     # exact linear representation of dimension 2n; the transition grouping
     # is (e_{i1} s)(e_{i2} s)...(e_{i_{k-1}} s) e_{ik}, so the top-left
     # block carries e s and the top-right block the bare projection
@@ -782,9 +793,6 @@ def seifert_from_flk(pres: FlkPresentation) -> SeifertModule:
         m = QMatrix(n, n, [[pres.entries[r][c].coeff(((i, 1),))
                             for c in range(n)] for r in range(n)])
         sigma.append(m)
-    rows = []
-    for _ in range(mu):
-        rows.append(sigma)
     s_block = QMatrix(mu * n, mu * n,
                       [[sigma[bj].data[r][c] for bj in range(mu)
                         for c in range(n)]

@@ -56,9 +56,10 @@ class PrimitiveAnalysis:
                 == self.max_primitive.target.dim)
 
 
-def max_primitive_submodule(V: SeifertModule):
-    """Inclusion of the maximal primitive submodule U and the filtration log
-    exhibiting U as an iterated extension of trivially primitive layers.
+def _max_primitive_basis(V: SeifertModule):
+    """Basis columns of the maximal primitive submodule U and the
+    filtration log exhibiting U as an iterated extension of trivially
+    primitive layers.
 
     Each step replaces U by the preimage of the s = 0 and s = 1 socles of
     V / U, read off the rows annihilating U; no quotient is built."""
@@ -78,15 +79,21 @@ def max_primitive_submodule(V: SeifertModule):
                                  for j in range(P.cols)], V.dim)
         U = column_space.basis_matrix().transpose()
         filtration.append(" + ".join(layer))
+    return U, filtration
+
+
+def max_primitive_submodule(V: SeifertModule):
+    """Inclusion of the maximal primitive submodule, and its filtration."""
+    U, filtration = _max_primitive_basis(V)
     return submodule_from_basis(V, U)[1], filtration
 
 
 def min_coprimitive(V: SeifertModule) -> SeifertMorphism:
-    """Inclusion of the smallest submodule W with V / W primitive, computed
-    as the annihilator of the maximal primitive submodule of the dual."""
-    u_incl, _ = max_primitive_submodule(V.dual())
-    return submodule_from_basis(
-        V, kernel_columns(u_incl.matrix.transpose()))[1]
+    """Inclusion of the smallest submodule W with V / W primitive: the
+    annihilator of the maximal primitive subspace of the dual, no module
+    built on that subspace (`submodule_from_basis` checks W invariant)."""
+    U, _ = _max_primitive_basis(V.dual())
+    return submodule_from_basis(V, kernel_columns(U.transpose()))[1]
 
 
 def is_primitive(V: SeifertModule) -> bool:

@@ -52,7 +52,8 @@ def rat(x) -> Fraction:
         if _RAT_PATTERN.fullmatch(text) is None:
             raise ValueError(f"not a rational of the form p or p/q: "
                              f"{text[:40]!r}")
-        return Fraction(text)
+        p, _, q = text.partition("/")
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -522,7 +523,8 @@ class RowSpace:
 
     def basis_matrix(self) -> QMatrix:
         return QMatrix._of(len(self.rows), self.width,
-                           [[Fraction(x, row[p]) if x else Q0 for x in row]
+                           [_over(row[p], row) if row[p] > 0
+                            else _over(-row[p], [-x for x in row])
                             for row, p in zip(self.rows, self.pivots)])
 
 

@@ -405,3 +405,24 @@ def test_json_writer_matches_json_dumps(doc):
 def test_json_writer_rejects_types_no_report_holds(doc):
     with pytest.raises(TypeError):
         emit(doc, "json")
+
+
+# lists of string lists, the shape of a serialized series: strings that
+# need escaping, empty inner lists, and inner lists mixed with non-strings
+_ESCAPED_TEXT = st.text(alphabet="\"\\/\n\t\x00\x1f\x7fé \U0001d54f x1")
+_STRING_LISTS = st.lists(st.lists(_ESCAPED_TEXT, min_size=1, max_size=3),
+                         max_size=4)
+_MIXED_LISTS = st.lists(st.lists(st.one_of(
+    _ESCAPED_TEXT, st.integers(), st.none(), st.booleans(),
+    st.lists(_ESCAPED_TEXT, max_size=2)), max_size=3), max_size=4)
+_STRING_LIST_DOCS = st.dictionaries(st.text(max_size=3), st.one_of(
+    _STRING_LISTS, _MIXED_LISTS, st.lists(_STRING_LISTS, max_size=3)),
+    max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_STRING_LIST_DOCS)
+def test_json_writer_matches_json_dumps_on_string_lists(doc):
+    assert emit(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) \
+        + "\n"

@@ -16,10 +16,12 @@ from linkwitt.covering import (FlkPresentation, GroupRingElem,
                                sigma_inverse_series, sigma_inverse_truncated,
                                symmetry_witness, truncated_cokernel_data,
                                truncated_inverse, word_mul, word_reduce)
+from linkwitt.covering import NCRationalSeries
 from linkwitt.wittinv import analyze_form
 
 from support import (random_form, random_linear_presentation, random_module,
                      worked_example_form, worked_example_module)
+from support import hyperbolic_form
 
 
 def _unit_series(n, degree):
@@ -555,3 +557,106 @@ def test_sigma_inverse_truncated_matches_the_full_word_expansion():
                             expected[p][q][w] = m.data[p][q]
         got = sigma_inverse_truncated(V, degree)
         assert [[x.terms for x in row] for row in got] == expected
+
+
+def _fraction_product(A, B):
+    # plain Fraction rows, independent of QMatrix's integer products
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
+
+
+def _expansion(start, steps, degree):
+    # {word: start T_w} over every word of length <= degree, zero products
+    # included, one Fraction product per word
+    out = {(): start}
+    level = [((), start)]
+    for _ in range(degree):
+        level = [(w + (i,), _fraction_product(m, t)) for w, m in level
+                 for i, t in enumerate(steps, start=1)]
+        out.update(level)
+    return out
+
+
+def _nonzero_entries(products, p, q, prefix=()):
+    return {prefix + w: m[p][q] for w, m in products.items() if m[p][q]}
+
+
+def _rational_module(rng, mu, dim, zero_letter):
+    # s with denominators up to 999; with zero_letter, s e_z = 0 for the
+    # letter z, so that transition is zero while e_z is not
+    # no empty block: every projection is nonzero
+    sizes = [1] * mu
+    sizes[rng.randrange(mu)] += dim - mu
+    rows = [[Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+             for _ in range(dim)] for _ in range(dim)]
+    if zero_letter:
+        z = rng.randrange(mu)
+        start = sum(sizes[:z])
+        for row in rows:
+            row[start:start + sizes[z]] = [0] * sizes[z]
+    return SeifertModule.from_blocks(mu, QMatrix(dim, dim, rows), sizes)
+
+
+_RATIONAL_CASES = [(mu, degree, zero_letter)
+                   for mu, degrees in ((1, (0, 4, 9)), (2, (1, 6, 9)),
+                                       (3, (2, 5, 6)))
+                   for degree in degrees for zero_letter in (False, True)]
+
+
+@pytest.mark.parametrize("mu, degree, zero_letter", _RATIONAL_CASES)
+def test_series_on_non_integral_modules_match_fraction_products(
+        mu, degree, zero_letter):
+    rng = random.Random(7100 + 10 * mu + degree + 100 * zero_letter)
+    dim = rng.randint(mu, 3)
+    V = _rational_module(rng, mu, dim, zero_letter)
+    steps = [[[-x for x in row] for row in (V.s * e).data]
+             for e in V.projections]
+    assert any(not any(map(any, t)) for t in steps) == zero_letter
+    products = _expansion(QMatrix.identity(dim).data, steps, degree)
+    got = sigma_inverse_truncated(V, degree)
+    exact = sigma_inverse_series(V)
+    for p in range(dim):
+        for q in range(dim):
+            expected = _nonzero_entries(products, p, q)
+            assert got[p][q].terms == expected
+            truncated = exact[p][q].truncate(degree)
+            assert truncated.terms == expected
+            assert truncated.terms == {
+                w: exact[p][q].coeff(w) for w in products
+                if exact[p][q].coeff(w)}
+    # a row and a column with denominators too
+    row, col = ([[Fraction(rng.randint(-99, 99), rng.randint(1, 999))
+                  for _ in range(dim)]] for _ in range(2))
+    series = NCRationalSeries(dim, QMatrix(1, dim, row),
+                              [QMatrix(dim, dim, t) for t in steps],
+                              QMatrix(dim, 1, list(zip(*col))))
+    assert series.truncate(degree).terms == {
+        w: series.coeff(w) for w in products if series.coeff(w)}
+
+
+@pytest.mark.parametrize("mu, degree", [(1, 9), (2, 0), (2, 7), (3, 5)])
+def test_pairing_on_non_integral_forms_matches_fraction_products(mu, degree):
+    # the hyperbolic form on W + W* keeps the denominators of W's s; for
+    # mu > 1 the empty blocks of W give zero projections, hence zero
+    # transitions
+    rng = random.Random(7200 + 10 * mu + degree)
+    W = SeifertModule.from_blocks(mu, _rational_module(rng, 1, 2, False).s,
+                                  [2] + [0] * (mu - 1))
+    f = hyperbolic_form(W, rng.choice([1, -1]))
+    V, n = f.module, f.module.dim
+    assert max(x.denominator for x in V.s.flat()) > 1
+    phiT = f.phi.transpose().data
+    steps = [[[-x for x in row] for row in (V.s * e).data]
+             for e in V.projections]
+    # the coefficient of x_i w is phi^T (-e_i) times that of w in sigma^-1
+    tails = [(i, _expansion(_fraction_product(
+        phiT, [[-x for x in row] for row in e.data]), steps, degree - 1))
+        for i, e in enumerate(V.projections, start=1)] if degree else []
+    pairing = blanchfield_pairing(f, degree)
+    for p in range(n):
+        for q in range(n):
+            expected = {}
+            for i, products in tails:
+                expected.update(_nonzero_entries(products, p, q, (i,)))
+            assert pairing[p][q].truncated.terms == expected
+            assert pairing[p][q].exact.truncate(degree).terms == expected
