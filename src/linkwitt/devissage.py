@@ -506,9 +506,8 @@ class IsotypicGroup:
                                                certificate=self.certificate)
             nf = endofield.as_number_field(ring)
             if not isinstance(nf, endofield.NoncommutativeEndomorphism):
-                f = self.forms[0]
                 nf = endofield.involution_from_form(
-                    nf, SeifertForm(self.module, f.zeta, f.phi.scale(f.zeta)))
+                    nf, self.forms[0].zeta_scaled())
             self._end = ring, nf
         return self._end
 
@@ -607,6 +606,8 @@ def witt_reduce(f: SeifertForm, seed: int = 0) -> AnisotropicDecomposition:
                        f"pass to subquotient of dim {reduced.module.dim}")
             work.append(reduced)
         else:
+            # nonsingular: its radical is a submodule of the simple L
+            restriction._validated = True
             pieces.append((simple, restriction, cert))
             perp = perp_basis(g, incl)
             perp_mod, perp_incl = submodule_from_basis(g.module, perp)
@@ -678,8 +679,7 @@ def _pair_cancels(gr: IsotypicGroup, f1: SeifertForm,
         return False
     # against b = zeta f1, f1 transports to 1: the pair cancels when -g2 is
     # a norm
-    b = SeifertForm(gr.module, f1.zeta, f1.phi.scale(f1.zeta))
-    g2 = endofield.transported_scalar(nf, b, f2)
+    g2 = endofield.transported_scalar(nf, f1.zeta_scaled(), f2)
     norm = endofield.norm_class(nf, -g2)
     if norm is not None:
         return norm

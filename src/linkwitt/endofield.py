@@ -5,11 +5,12 @@ The endomorphism ring of a simple module over Q is a division algebra of
 finite rational dimension, read off the Norton element when that is cyclic
 and off `hom_space` otherwise, in one basis, with the identity first.
 Commutative rings are presented as number fields by a primitive element,
-whose degree dim End(M) itself proves commutativity; a nonsingular form b
-induces the involution f -> b^{-1} f^T b, expressed as a polynomial in the
-primitive element, whose fixed field has index 2 unless it is trivial.  Transporting an isotypic family of
-forms along Hom(M, -) yields a hermitian matrix over the endomorphism field,
-on which the classical Witt invariants are computed downstream.
+whose degree dim End(M) proves commutativity (and, on a ring marked simple,
+irreducibility).  Each field holds its involution: the trivial one, or
+f -> b^{-1} f^T b for a nonsingular form b, as a polynomial in the primitive
+element; its fixed field has index 2 unless it is trivial.  Transporting an
+isotypic family of forms along Hom(M, -) yields a hermitian matrix over the
+endomorphism field, on which the classical Witt invariants are computed.
 `norm_class` is the one decision whether a field element is a norm (a
 square for the trivial involution): proven yes, proven no, or undecided.
 
@@ -21,7 +22,7 @@ are ever produced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace,
@@ -38,11 +39,13 @@ class EndomorphismError(ValueError):
 
 @dataclass
 class EndomorphismRing:
+    """End(M) by a basis; `_simple` marks a certificate that M is simple."""
     module: SeifertModule
     basis: list                     # QMatrix basis, basis[0] = identity
     # structure constants are never computed (nothing reads them); the
     # field stays for callers that pass it positionally
     structure: list | None = None
+    _simple: bool = field(default=False, init=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -80,7 +83,9 @@ def endomorphism_ring(M: SeifertModule, assume_simple: bool = False,
             if len(factors) > 1 or factors[0][1] > 1:
                 raise EndomorphismError("not simple: endomorphism with "
                                         "reducible minimal polynomial")
-    return EndomorphismRing(M, reordered)
+    ring = EndomorphismRing(M, reordered)
+    ring._simple = assume_simple
+    return ring
 
 
 def _cyclic_endomorphisms(M: SeifertModule, certificate):
@@ -123,19 +128,26 @@ def _basis_with_identity_first(basis: list, ident: QMatrix) -> list:
 
 @dataclass
 class NumberFieldWithInvolution:
+    """Q[x]/(minpoly) with its involution, the image of x: unless given, the
+    trivial x mod minpoly, and Artin's fixed-field degree, d or d/2."""
     minpoly: QPoly                       # irreducible monic, the field is Q[x]/(minpoly)
     embedding: QMatrix                   # matrix of the primitive element in End(M)
     module: SeifertModule
-    involution_image: QPoly | None = None   # image of the generator, None = unset
+    involution_image: QPoly | None = None   # image of the generator
     fixed_field_degree: int | None = None
+
+    def __post_init__(self):
+        self.involution_image = self.involution_image or \
+            QPoly.x() % self.minpoly
+        if self.fixed_field_degree is None:
+            trivial = self.involution_is_trivial()
+            self.fixed_field_degree = self.degree // (1 if trivial else 2)
 
     @property
     def degree(self) -> int:
         return self.minpoly.degree()
 
     def involution_is_trivial(self) -> bool:
-        if self.involution_image is None:
-            raise EndomorphismError("involution not set")
         return self.involution_image == QPoly.x() % self.minpoly
 
 
@@ -144,13 +156,6 @@ class NoncommutativeEndomorphism:
     ring: EndomorphismRing
     center_dim: int
     is_quaternion: bool
-
-    def table_row(self, kind: str | None = None) -> str:
-        if not self.is_quaternion:
-            return "noncommutative (second kind)"
-        if kind is None:
-            return "quaternion (involution pending)"
-        return kind
 
 
 def primitive_candidates(k: int):
@@ -172,16 +177,16 @@ def primitive_candidates(k: int):
 
 
 def as_number_field(ring: EndomorphismRing):
-    """Present a commutative endomorphism ring as a number field via a
-    primitive element; classify noncommutative rings and return a
-    NoncommutativeEndomorphism marker instead.  A theta of degree dim End(M)
-    proves End(M) = Q[theta] commutative; else commutativity is tested."""
+    """A commutative ring as a number field with the trivial involution, by
+    a primitive element theta, else a NoncommutativeEndomorphism marker.
+    deg theta = dim End(M) proves End(M) = Q[theta] commutative; a ring
+    marked `_simple` is a division ring, whose minpolys are irreducible."""
     d = ring.dim
     for coeffs in primitive_candidates(d):
         theta = lincomb(coeffs, ring.basis)
         mp = minimal_polynomial(theta)
         if mp.degree() == d:
-            if not is_irreducible(mp):
+            if not ring._simple and not is_irreducible(mp):
                 raise EndomorphismError("endomorphism ring is not a field "
                                         "(reducible minimal polynomial)")
             return NumberFieldWithInvolution(mp, theta, ring.module)
@@ -234,8 +239,6 @@ def field_inv(nf, a: QPoly) -> QPoly:
 def field_conj(nf, a: QPoly) -> QPoly:
     """a(conj(x)), by Horner from the leading coefficient of a with every
     partial result reduced mod the minimal polynomial."""
-    if nf.involution_image is None:
-        raise EndomorphismError("involution not set")
     acc = QPoly.zero()
     for c in reversed(a.coeffs):
         acc = field_mul(nf, acc, nf.involution_image) + QPoly.constant(c)
@@ -257,23 +260,19 @@ def matrix_to_element(nf, m: QMatrix) -> QPoly:
 def involution_from_form(nf: NumberFieldWithInvolution,
                          b: SeifertForm) -> NumberFieldWithInvolution:
     """Involution f -> b^{-1} f^T b induced by a nonsingular zeta-form b on
-    the same simple module, recorded as the image of the primitive element."""
+    the same simple module, recorded as the image of the primitive element.
+    b is checked, at once when marked valid, as the dévissage's forms are."""
     err = b.validate()
     if err is not None:
         raise EndomorphismError(f"invalid form for involution: {err}")
     if b.module != nf.module:
         raise EndomorphismError("form lives on a different module")
     B = b.phi
-    B_inv = B.inverse()
-    conj_alpha = B_inv * nf.embedding.transpose() * B
-    image = matrix_to_element(nf, conj_alpha)
+    image = matrix_to_element(nf, B.inverse() * nf.embedding.transpose() * B)
     out = NumberFieldWithInvolution(nf.minpoly, nf.embedding, nf.module,
                                     image)
     if field_conj(out, image) != QPoly.x() % nf.minpoly:
         raise EndomorphismError("induced map is not an involution")
-    # Artin: a field automorphism of order 2 fixes a subfield of index 2
-    out.fixed_field_degree = (nf.degree if out.involution_is_trivial()
-                              else nf.degree // 2)
     return out
 
 
@@ -333,8 +332,6 @@ def morita_transport(nf: NumberFieldWithInvolution, forms: list,
     With the standard inclusions of the summands as a Hom-basis the Gram
     matrix is diagonal with entries zeta * b^{-1} phi_i.
     """
-    if nf.involution_image is None:
-        raise EndomorphismError("set the involution before transporting")
     if not forms:
         return HermitianFormOverE(nf, [])
     zeta = forms[0].zeta
@@ -353,20 +350,17 @@ def morita_transport(nf: NumberFieldWithInvolution, forms: list,
 
 def classify_involution(nf: NumberFieldWithInvolution) -> str:
     """Table-row label for a commutative endomorphism field."""
-    if nf.involution_image is None:
-        return "number field (involution unset)"
     if nf.involution_is_trivial():
         return "number field, trivial involution (first kind)"
     return "number field, nontrivial involution (second kind)"
 
 
 def classify_noncommutative(nc: NoncommutativeEndomorphism,
-                            b: SeifertForm | None) -> str:
-    """Table-row label for a noncommutative endomorphism ring: first/second
+                            b: SeifertForm) -> str:
+    """Table-row label for a noncommutative endomorphism ring with the
+    involution f -> b^{-1} f^T b of a form b on its module: first/second
     kind and, for quaternions of the first kind, standard vs non-standard,
-    read off from the dimension of the fixed set of f -> b^{-1} f^T b."""
-    if b is None:
-        return nc.table_row()
+    read off from the dimension of the fixed set of the involution."""
     B = b.phi
     B_inv = B.inverse()
     basis = nc.ring.basis
@@ -401,7 +395,7 @@ def norm_class(nf: NumberFieldWithInvolution, d: QPoly) -> bool | None:
     d = field_reduce(nf, d)
     if d.is_zero():
         raise EndomorphismError("zero discriminant")
-    if nf.involution_image is None or nf.involution_is_trivial():
+    if nf.involution_is_trivial():
         if nf.degree == 1:
             return is_rational_square(d.coeff(0))
         return None

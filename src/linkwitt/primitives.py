@@ -23,9 +23,9 @@ def _layer_preimages(V: SeifertModule, ann: QMatrix):
     V / U with s = 0 and with s = 1."""
     a_s = ann * V.s
     a_1s = ann - a_s
-    return tuple(kernel_columns(QMatrix(ann.rows * V.mu, V.dim,
-                                        [row for e in V.projections
-                                         for row in (m * e).data]))
+    return tuple(kernel_columns(QMatrix._of(ann.rows * V.mu, V.dim,
+                                            [row for e in V.projections
+                                             for row in (m * e).data]))
                  for m in (a_s, a_1s))
 
 

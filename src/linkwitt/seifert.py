@@ -184,8 +184,8 @@ class SeifertForm:
     (`tests/test_immutable_matrices.py` checks this), and the matrices are
     immutable too.  That is what makes the validated mark sound: a form
     that passed `validate()` once stays valid, so `validate()` returns None
-    at once on it.  `negate`, `promote` and `direct_sum` (when both
-    summands are marked) give valid forms and carry the mark.
+    at once on it.  `negate`, `promote`, `transport`, `zeta_scaled` and
+    `direct_sum` (of marked summands) give valid forms and carry the mark.
     """
 
     def __init__(self, module: SeifertModule, zeta: int, phi: QMatrix):
@@ -231,10 +231,14 @@ class SeifertForm:
     def pair(self, x: list, y: list) -> Fraction:
         return sum((a * b for a, b in zip(self.phi.apply(x), y)), Q0)
 
-    def negate(self) -> "SeifertForm":
-        out = SeifertForm(self.module, self.zeta, -self.phi)
+    def _derived(self, module: SeifertModule, phi: QMatrix) -> "SeifertForm":
+        """A form that is valid when this one is, with this one's mark."""
+        out = SeifertForm(module, self.zeta, phi)
         out._validated = self._validated
         return out
+
+    def negate(self) -> "SeifertForm":
+        return self._derived(self.module, -self.phi)
 
     def direct_sum(self, other: "SeifertForm") -> "SeifertForm":
         if self.zeta != other.zeta:
@@ -245,16 +249,17 @@ class SeifertForm:
         return out
 
     def promote(self) -> "SeifertForm":
-        out = SeifertForm(self.module.promote(), self.zeta, self.phi)
-        out._validated = self._validated
-        return out
+        return self._derived(self.module.promote(), self.phi)
 
     def transport(self, iso: SeifertMorphism) -> "SeifertForm":
         """Push the form forward along an isomorphism g: module -> target,
         so that pair_new(g x, g y) = pair(x, y)."""
         g_inv = iso.matrix.inverse()
-        return SeifertForm(iso.target, self.zeta,
-                           g_inv.transpose() * self.phi * g_inv)
+        return self._derived(iso.target, g_inv.transpose() * self.phi * g_inv)
+
+    def zeta_scaled(self) -> "SeifertForm":
+        """zeta * phi: the b against which the Morita transport reads."""
+        return self if self.zeta == 1 else self.negate()
 
     def __repr__(self):
         return f"SeifertForm(zeta={self.zeta}, dim={self.module.dim})"

@@ -119,7 +119,7 @@ def diagonalize(h: HermitianFormOverE):
     for d in diag:
         if d.is_zero():
             raise ValueError("singular hermitian form")
-        if nf.involution_image is not None and field_conj(nf, d) != d:
+        if field_conj(nf, d) != d:
             raise AssertionError("diagonal entry not fixed by the involution")
     return diag, P
 
@@ -187,7 +187,7 @@ def signatures(h: HermitianFormOverE, diag=None) -> list:
     nf = h.field
     if diag is None:
         diag, _ = diagonalize(h)
-    if nf.involution_image is None or nf.involution_is_trivial():
+    if nf.involution_is_trivial():
         return _signatures_trivial(nf, diag)
     return _signatures_nontrivial(nf, diag)
 
@@ -245,7 +245,7 @@ def discriminant_class(h: HermitianFormOverE, diag=None) -> dict:
         rep = field_mul(nf, rep, d)
     if (m * (m - 1) // 2) % 2:
         rep = -rep
-    square = nf.involution_image is None or nf.involution_is_trivial()
+    square = nf.involution_is_trivial()
     group = "square-class" if square else "norm-class"
     trivial = endofield.norm_class(nf, rep)
     if trivial is None:
@@ -316,8 +316,7 @@ def invariant_report(decomposition) -> InvariantReport:
 def _piece_report(group) -> PieceReport:
     M = group.module
     forms = group.forms
-    zeta = forms[0].zeta
-    b = SeifertForm(M, zeta, forms[0].phi.scale(zeta))
+    b = forms[0].zeta_scaled()
     b_matrix = [[rat_str(x) for x in row] for row in b.phi.data]
     _ring, nf = group.endomorphism_field()
     if isinstance(nf, NoncommutativeEndomorphism):
@@ -325,8 +324,9 @@ def _piece_report(group) -> PieceReport:
         return PieceReport(M.dim, len(forms), label, None, b_matrix,
                            None, None, None, None,
                            "unsupported: quaternionic endomorphism ring")
+    # diagonal and checked hermitian: `diagonalize` would return its diagonal
     h = endofield.morita_transport(nf, forms, b)
-    diag, _ = diagonalize(h)
+    diag = [row[i] for i, row in enumerate(h.gram)]
     sigs = signatures(h, diag)
     disc = discriminant_class(h, diag)
     rank = h.rank

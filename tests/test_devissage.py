@@ -909,3 +909,62 @@ def test_the_seed11_op187_difference_passes_to_subquotients(monkeypatch,
         "isotropic simple of dim 2: pass to subquotient of dim 4",
         "isotropic simple of dim 2: pass to subquotient of dim 0",
         "isotypic grouping: 0 class(es), sizes []"]
+
+
+def test_the_report_path_keeps_what_the_devissage_proved(monkeypatch,
+                                                          tmp_path):
+    # the 160 seed-11 knot_invariants ops made 142 irreducibility tests,
+    # 142 diagonalizations and 350 checks of unmarked forms before the
+    # simplicity certificate and the validated mark were carried to the
+    # field layer
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt.endofield as ef
+    import linkwitt.wittinv as wi
+    from linkwitt import cli
+    from support import knot_form
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops("knot_invariants", 11, 160)
+    gen.write_ops(ops, str(tmp_path))
+    calls = []
+    validate = SeifertForm.validate
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def checked(self):
+        if not self._validated:
+            calls.append("validate")
+        return validate(self)
+
+    monkeypatch.setattr(ef, "is_irreducible",
+                        counted("is_irreducible", ef.is_irreducible))
+    monkeypatch.setattr(wi, "diagonalize",
+                        counted("diagonalize", wi.diagonalize))
+    monkeypatch.setattr(SeifertForm, "validate", checked)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    monkeypatch.undo()
+    assert calls.count("is_irreducible") == 0
+    assert calls.count("diagonalize") == 0
+    assert 160 <= calls.count("validate") <= 210
+    # the marks are sound: every group form is marked, and its unmarked
+    # copy validates
+    rng = random.Random(24)
+    forms = _oracle_forms() + [knot_form(rng, 2) for _ in range(12)]
+    checked_forms = 0
+    for f in forms:
+        for gr in witt_reduce(f).groups:
+            for h in gr.forms:
+                assert h._validated
+                assert SeifertForm(h.module, h.zeta, h.phi).validate() is None
+                checked_forms += 1
+    assert checked_forms >= 30

@@ -719,3 +719,58 @@ def test_norm_class_decides_rational_squares_without_factoring(
     assert norm_class(nf, QPoly([Fraction(-3, N)])) is False
     assert norm_class(nf, QPoly([Fraction(3, N)])) is False
     assert norm_class(nf, QPoly([Fraction(9 * N, N ** 3)])) is True
+
+
+def test_a_field_built_without_an_image_holds_the_trivial_involution():
+    # Q, Q(sqrt 2) and a genus-2 knot field, each built without an image,
+    # against the same field built with the image x mod minpoly
+    from linkwitt.devissage import witt_reduce
+    from linkwitt.endofield import (HermitianFormOverE,
+                                    NumberFieldWithInvolution,
+                                    classify_involution, norm_class)
+    from support import knot_form
+    rng = random.Random(24)
+    line = SeifertModule.from_blocks(1, QMatrix(1, 1, [["1/2"]]), [1])
+    alpha = QMatrix(2, 2, [[0, 2], [1, 0]])
+    knot = witt_reduce(knot_form(random.Random(0), 2)).groups[0].module
+    fields = [as_number_field(endomorphism_ring(line)),
+              NumberFieldWithInvolution(
+                  QPoly([-2, 0, 1]), alpha,
+                  SeifertModule.from_blocks(1, alpha, [2])),
+              as_number_field(endomorphism_ring(knot, assume_simple=True))]
+    assert [nf.degree for nf in fields] == [1, 2, 4]
+    for nf in fields:
+        x = QPoly.x() % nf.minpoly
+        imaged = NumberFieldWithInvolution(nf.minpoly, nf.embedding,
+                                           nf.module, x)
+        assert nf.involution_image == x and nf.involution_is_trivial()
+        assert nf.fixed_field_degree == imaged.fixed_field_degree \
+            == nf.degree
+        assert classify_involution(nf) == classify_involution(imaged)
+        for _ in range(8):
+            a = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(rng.randint(1, 2 * nf.degree))])
+            assert field_conj(nf, a) == a % nf.minpoly
+            if not (a % nf.minpoly).is_zero():
+                assert norm_class(nf, a) == norm_class(imaged, a)
+        # x is nonzero at every real root: the minimal polynomial is
+        # irreducible of degree > 1, or x - 1
+        entries = [QPoly([rng.choice([-1, 1]) * rng.randint(1, 9)])
+                   for _ in range(3)] + [x]
+        gram = [[d if i == j else QPoly.zero() for j in range(len(entries))]
+                for i, d in enumerate(entries)]
+        h, h_imaged = (HermitianFormOverE(nf, gram),
+                       HermitianFormOverE(imaged, gram))
+        assert signatures(h) == signatures(h_imaged)
+        assert discriminant_class(h) == discriminant_class(h_imaged)
+
+
+def test_as_number_field_refuses_an_unmarked_product_of_fields():
+    # Q x Q on its regular representation, with basis (1, 1), (1, 0): no
+    # certificate marks the ring simple, so the minimal polynomial x^2 - x
+    # of its primitive element (1, 0) is tested, and found reducible
+    ring = _regular_ring(lambda i, j: (1, max(i, j)), 2)
+    assert ring.basis[1] == QMatrix(2, 2, [[0, 0], [1, 1]])
+    with pytest.raises(EndomorphismError,
+                       match=r"not a field \(reducible minimal polynomial\)"):
+        as_number_field(ring)

@@ -271,3 +271,77 @@ def test_integral_module_composition_series_and_hom_in_quotient():
                       for incl, simple in composition_series(VQ)]
     assert len(series) == 2
     assert hom_in_quotient(V, V) == hom_in_quotient(VQ, VQ)
+
+
+def _forms_on_primitive_modules(rng, tries):
+    """Nonsingular forms on primitive modules, from two sources: the form
+    space (`_solve_form_space`) of modules with s upper triangular, with as
+    many eigenvalues 0 as 1, and coordinate-block projections (the
+    coordinate flag exhibits them as extensions of layers with s = 0 or 1),
+    and the form induced on P/R for the maximal primitive submodule P of a
+    `random_form` draw and R = P meet P-perp, the radical of the form on
+    P."""
+    from linkwitt.rational import kernel_columns
+    from linkwitt.seifert import SeifertForm, restrict_form
+    from support import _solve_form_space, random_block_sizes, random_form
+    out = []
+    for _ in range(tries):
+        mu, k, zeta = rng.randint(1, 3), rng.randint(1, 2), rng.choice([1, -1])
+        diag = [0] * k + [1] * k
+        rng.shuffle(diag)
+        s = QMatrix(2 * k, 2 * k, [[diag[i] if i == j else
+                                    rng.randint(-1, 1) * (j > i)
+                                    for j in range(2 * k)]
+                                   for i in range(2 * k)])
+        V = SeifertModule.from_blocks(mu, s, random_block_sizes(rng, mu,
+                                                                2 * k))
+        basis = _solve_form_space(V, zeta)
+        for _attempt in range(5 if basis else 0):
+            phi = QMatrix.zeros(2 * k, 2 * k)
+            for b in basis:
+                phi = phi + b.scale(rng.randint(-3, 3))
+            if phi.det() != 0:
+                out.append(SeifertForm(V, zeta, phi))
+                break
+    for _ in range(tries):
+        zeta = rng.choice([1, -1])
+        f = random_form(rng, rng.randint(1, 3), rng.choice([4, 6]), zeta)
+        incl, _ = max_primitive_submodule(f.module)
+        on_p = restrict_form(f, incl)
+        radical = kernel_columns(on_p.phi)
+        if radical.cols == on_p.module.dim:
+            continue
+        quot, _proj, section = quotient_module(
+            on_p.module, submodule_from_basis(on_p.module, radical)[1])
+        out.append(SeifertForm(quot, zeta,
+                               section.transpose() * on_p.phi * section))
+    return out
+
+
+def test_forms_on_primitive_modules_are_witt_trivial():
+    # the localization theorem: B sends exactly the primitive modules to
+    # zero and induces an isomorphism of Witt groups, so a nonsingular form
+    # on a primitive module is Witt-trivial and adding one moves no class;
+    # no piece of the devissage is a primitive simple (s = 0 or 1 on a
+    # line, where every form vanishes)
+    from support import knot_form, random_form
+    from linkwitt.devissage import witt_reduce
+    from linkwitt.wittinv import analyze_form
+    rng = random.Random(17)
+    hs = _forms_on_primitive_modules(rng, 40)
+    assert len(hs) >= 30
+    verdicts = []
+    for h in hs:
+        assert h.validate() is None and is_primitive(h.module)
+        assert analyze_form(h).verdict == "witt-trivial"
+        if (h.module.mu, h.zeta) == (1, -1):
+            f = knot_form(rng, 2)
+        else:
+            f = random_form(rng, h.module.mu, 4, h.zeta)
+        verdict = analyze_form(f).verdict
+        verdicts.append(verdict)
+        for g in (f.direct_sum(h), h.direct_sum(f)):
+            assert analyze_form(g).verdict == verdict
+            assert not any(is_primitive(gr.module)
+                           for gr in witt_reduce(g).groups)
+    assert {"nontrivial", "witt-trivial"} <= set(verdicts)
