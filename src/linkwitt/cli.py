@@ -255,8 +255,7 @@ def run_invariants(args) -> int:
         raise SchemaError("invariants require a form")
     err = form.validate()
     if err is not None:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_INVALID
+        raise SeifertError(err)
     report = analyze_form(form, args.seed)
     doc = report_to_dict(report, module, form, args.seed, args.degree)
     sys.stdout.write(emit(doc, args.format))
@@ -312,8 +311,7 @@ def run_cover(args) -> int:
     if form is not None:
         err = form.validate()
         if err is not None:
-            print(f"invalid input: {err}", file=sys.stderr)
-            return EXIT_INVALID
+            raise SeifertError(err)
         pairing = blanchfield_pairing(form, degree)
         witness = symmetry_witness(pairing, form.zeta, degree)
         doc["pairing"] = _series_matrix_json(

@@ -13,12 +13,12 @@ algebra elements a taken from a fixed list of words in the generators (no
 random words: `_element_stream`), and Norton's criterion decides when
 ker p(a) is a line over Q[a]/(p).  An element a = alpha b + beta I of an
 earlier element b is not factored again: its factors are the images of
-b's, and its kernels are b's, each computed once a walk.  `is_simple`
-takes its first finding, and the isotropic search its smallest isotropic
-spin or its certificate, which the reduction loop takes as is.  A spin from
-ker p(a) contains Q[a]v and so has dimension at least deg p: once the
-search holds a candidate of dimension <= deg p it spins no further vector
-of a kernel of p that is not a line (a line is still spun once, for
+b's, and its kernels are b's, each computed and spun once a walk.
+`is_simple` takes its first finding, and the isotropic search its smallest
+isotropic spin or its certificate, which the reduction loop takes as is.  A
+spin from ker p(a) contains Q[a]v and so has dimension at least deg p: once
+the search holds a candidate of dimension <= deg p it spins no further
+vector of a kernel of p that is not a line (a line is still spun once, for
 Norton's test).  Nor does the search spin a vector v on which phi(v, v) or
 phi(v, m v), m a generator, is nonzero: its spin contains v and m v, so it
 is not isotropic.  The complete fallback computes the Jacobson radical of
@@ -230,12 +230,18 @@ def _walk(V: SeifertModule, held=None, phi=None):
     - yields nothing for a vector v that `_visibly_anisotropic` rejects,
       without spinning it: the form does not vanish on its spin, so that
       spin is no candidate.
-    Line kernels are spun as without the search: Norton's test reads them."""
+    Line kernels are spun as without the search: Norton's test reads them.
+    A kernel list that an affine repeat hands back again is dropped: its
+    spins and Norton test were made when it was first offered, so they can
+    neither beat the held candidate nor give a first finding."""
     if V.dim == 1:
         yield 0, [("simple", SimpleCertificate("dimension-1"))]
         return
+    offered = set()     # ids of the kernel lists handed out in this walk
     for count, a, kernels in _factor_kernels(V):
-        yield count, _kernel_findings(V, a, kernels, held, phi)
+        fresh = ((p, ker) for p, ker in kernels
+                 if id(ker) not in offered and not offered.add(id(ker)))
+        yield count, _kernel_findings(V, a, fresh, held, phi)
 
 
 def _kernel_findings(V: SeifertModule, a: QMatrix, kernels, held, phi):

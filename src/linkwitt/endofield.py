@@ -330,7 +330,8 @@ def morita_transport(nf: NumberFieldWithInvolution, forms: list,
     living on the representative module, against the chosen form b.
 
     With the standard inclusions of the summands as a Hom-basis the Gram
-    matrix is diagonal with entries zeta * b^{-1} phi_i.
+    matrix is diagonal with entries zeta * b^{-1} phi_i: 1 for a form with
+    zeta phi = b, with no solve.
     """
     if not forms:
         return HermitianFormOverE(nf, [])
@@ -340,7 +341,8 @@ def morita_transport(nf: NumberFieldWithInvolution, forms: list,
     k = len(forms)
     gram = [[QPoly.zero() for _ in range(k)] for _ in range(k)]
     for i, f in enumerate(forms):
-        gram[i][i] = transported_scalar(nf, b, f)
+        gram[i][i] = (QPoly.one() if f.zeta_scaled().phi == b.phi
+                      else transported_scalar(nf, b, f))
     out = HermitianFormOverE(nf, gram)
     err = out.validate()
     if err is not None:

@@ -874,14 +874,7 @@ def _pm_trim(a):
 
 
 def _pm_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_trim(out)
+    return _pm_trim([x % p for x in _int_poly_mul(a, b)])
 
 
 def _pm_divmod(a, b, p):

@@ -178,33 +178,20 @@ def _fixed_field_primitive(nf) -> tuple:
 
 
 def signatures(h: HermitianFormOverE, diag=None) -> list:
-    """Signatures with isolating-interval labels.
-
-    Trivial involution: one signature per real root of the field's minimal
-    polynomial.  Nontrivial involution: one per real place of the fixed
-    field at which the quadratic extension becomes complex.
+    """Signatures with isolating-interval labels, by one loop over the real
+    places of the fixed field: for the trivial involution the fixed field
+    is the field itself and every real root of its minimal polynomial
+    counts; otherwise a place counts where the relative discriminant delta
+    is negative, so that the quadratic extension becomes complex there.
     """
     nf = h.field
     if diag is None:
         diag, _ = diagonalize(h)
+    delta = None
     if nf.involution_is_trivial():
-        return _signatures_trivial(nf, diag)
-    return _signatures_nontrivial(nf, diag)
-
-
-def _signatures_trivial(nf, diag) -> list:
-    _, intervals = real_root_data(nf.minpoly)
-    out = []
-    for iv in intervals:
-        sig = sum(sign_at_root(d, nf.minpoly, iv) for d in diag)
-        label = f"({rat_str(iv[0])},{rat_str(iv[1])})"
-        out.append((label, sig))
-    return out
-
-
-def _signatures_nontrivial(nf, diag) -> list:
-    delta = endofield.relative_discriminant(nf)
-    if nf.fixed_field_degree == 1:
+        k_poly, vals = nf.minpoly, diag
+    elif nf.fixed_field_degree == 1:
+        delta = endofield.relative_discriminant(nf)
         if delta.degree() != 0:
             raise AssertionError("relative discriminant outside Q")
         if delta.coeff(0) > 0:
@@ -215,15 +202,17 @@ def _signatures_nontrivial(nf, diag) -> list:
                 raise AssertionError("diagonal entry outside Q")
             vals.append(1 if d.coeff(0) > 0 else -1)
         return [("rational place", sum(vals))]
-    beta, k_poly = _fixed_field_primitive(nf)
-    f = nf.fixed_field_degree
-    delta_b, *diag_b = _in_powers_of(nf, beta, f, [delta] + list(diag))
+    else:
+        beta, k_poly = _fixed_field_primitive(nf)
+        delta, *vals = _in_powers_of(
+            nf, beta, nf.fixed_field_degree,
+            [endofield.relative_discriminant(nf)] + list(diag))
     _, intervals = real_root_data(k_poly)
     out = []
     for iv in intervals:
-        if sign_at_root(delta_b, k_poly, iv) > 0:
+        if delta is not None and sign_at_root(delta, k_poly, iv) > 0:
             continue    # the extension stays real: no signature here
-        sig = sum(sign_at_root(db, k_poly, iv) for db in diag_b)
+        sig = sum(sign_at_root(d, k_poly, iv) for d in vals)
         label = f"({rat_str(iv[0])},{rat_str(iv[1])})"
         out.append((label, sig))
     return out

@@ -968,3 +968,119 @@ def test_the_report_path_keeps_what_the_devissage_proved(monkeypatch,
                 assert SeifertForm(h.module, h.zeta, h.phi).validate() is None
                 checked_forms += 1
     assert checked_forms >= 30
+
+
+def _bench_op_calls(monkeypatch, tmp_path, workload, count, targets):
+    # calls of each (module, name) of `targets` over the first `count` ops
+    # of the workload at seed 11, in-process
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    from linkwitt import cli
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops(workload, 11, count)
+    gen.write_ops(ops, str(tmp_path))
+    calls = {name: 0 for _module, name in targets}
+    for module, name in targets:
+        def counted(*args, name=name, wrapped=getattr(module, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(module, name, counted)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    monkeypatch.undo()
+    return calls
+
+
+def test_the_transport_of_the_reference_form_is_one_without_a_solve():
+    # b = zeta f_1 transports f_1 to zeta b^{-1} zeta f_1 = 1; the other
+    # forms of a group go through transported_scalar as before
+    import linkwitt.endofield as ef
+    from support import knot_form
+    from linkwitt.rational import QPoly
+    rng = random.Random(0x3E7)
+    forms = [knot_form(rng, 2) for _ in range(12)]
+    forms += [f.direct_sum(f) for f in _oracle_forms()]
+    multi = 0
+    for f in forms:
+        for group in witt_reduce(f).groups:
+            _ring, nf = group.endomorphism_field()
+            if isinstance(nf, ef.NoncommutativeEndomorphism):
+                continue
+            b = group.forms[0].zeta_scaled()
+            h = ef.morita_transport(nf, group.forms, b)
+            k = len(group.forms)
+            assert h.gram == [[ef.transported_scalar(nf, b, g)
+                               if i == j else QPoly.zero()
+                               for j in range(k)]
+                              for i, g in enumerate(group.forms)]
+            assert h.gram[0][0] == QPoly.one()
+            multi += k > 1
+    assert multi > 0
+
+
+def test_the_bench_ops_transport_without_solves(monkeypatch, tmp_path):
+    # the 160 knot_invariants ops of seed 11 made 142 transported_scalar
+    # calls, 284 matrix_to_element calls and 715 spins when the reference
+    # form was solved for and affine repeats spun their kernels again
+    import linkwitt.devissage as dv
+    import linkwitt.endofield as ef
+    calls = _bench_op_calls(
+        monkeypatch, tmp_path, "knot_invariants", 160,
+        [(ef, "transported_scalar"), (ef, "matrix_to_element"),
+         (dv, "spin")])
+    assert calls["transported_scalar"] == 0
+    assert calls["matrix_to_element"] <= 142
+    assert calls["spin"] <= 450
+
+
+def test_a_walk_spins_each_kernel_list_in_one_offering(monkeypatch):
+    # an affine repeat hands back an earlier element's kernel list: its
+    # spins were made when the list was first offered
+    import linkwitt.devissage as dv
+    from linkwitt.rational import spin
+    factor_kernels = dv._factor_kernels
+    spun_lists = 0
+    for f in _oracle_forms():
+        V = f.module
+        gens = V.generators()
+        for search in (lambda: dv._isotropic_search(f), lambda: is_simple(V)):
+            current = {}
+            offerings = {}
+
+            def tagged(W):
+                for count, a, kernels in factor_kernels(W):
+                    def tag(kernels=kernels, count=count):
+                        for index, (p, ker) in enumerate(kernels):
+                            current["kernel"] = (id(ker), count, index)
+                            yield p, ker
+                    yield count, a, tag()
+
+            def counted(g, vectors, n):
+                if g == gens:
+                    key, count, index = current["kernel"]
+                    offerings.setdefault(key, set()).add((count, index))
+                return spin(g, vectors, n)
+
+            monkeypatch.setattr(dv, "_factor_kernels", tagged)
+            monkeypatch.setattr(dv, "spin", counted)
+            search()
+            monkeypatch.undo()
+            assert all(len(o) == 1 for o in offerings.values())
+            spun_lists += len(offerings)
+    assert spun_lists > 0
+
+
+def test_the_bench_ops_offer_each_kernel_once(monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 made 1,237 spins when
+    # affine repeats offered their kernels again, and 805 factorizations
+    import linkwitt.devissage as dv
+    calls = _bench_op_calls(
+        monkeypatch, tmp_path, "metabolic_pairs", 120,
+        [(dv, "spin"), (dv, "factor_rational_poly")])
+    assert calls["spin"] <= 950
+    assert calls["factor_rational_poly"] <= 805

@@ -505,3 +505,37 @@ def test_fixed_field_primitive_keeps_the_former_choice():
                 assert _fixed_field_primitive(nf) == former(nf)
                 compared += 1
     assert compared >= 10
+
+
+def test_signatures_of_the_trivial_involution_at_every_real_root():
+    # the fixed field of the trivial involution is the field: one
+    # signature per real root of the minimal polynomial, the sum of the
+    # signs of the diagonal there, labelled by its isolating interval
+    from linkwitt.rational import (is_irreducible, rat_str, real_root_data,
+                                   sign_at_root)
+    rng = random.Random(0x516)
+    V = SeifertModule.from_blocks(1, QMatrix.zeros(1, 1), [1])
+    degrees = []
+    while len(degrees) < 60:
+        d = 1 + len(degrees) % 4
+        minpoly = QPoly([rng.randint(-4, 4) for _ in range(d)] + [1])
+        if not is_irreducible(minpoly):
+            continue
+        nf = NumberFieldWithInvolution(minpoly, QMatrix.identity(1), V)
+        diag = []
+        while len(diag) < rng.randint(1, 4):
+            d_i = QPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(d)])
+            if not d_i.is_zero():
+                diag.append(d_i)
+        k = len(diag)
+        h = HermitianFormOverE(nf, [[diag[i] if i == j else QPoly.zero()
+                                     for j in range(k)] for i in range(k)])
+        _, intervals = real_root_data(minpoly)
+        expected = [(f"({rat_str(a)},{rat_str(b)})",
+                     sum(sign_at_root(x, minpoly, (a, b)) for x in diag))
+                    for a, b in intervals]
+        assert signatures(h) == expected
+        assert signatures(h, diag) == expected
+        degrees.append(d)
+    assert sorted(set(degrees)) == [1, 2, 3, 4]
