@@ -12,8 +12,8 @@ ker p(a) for the irreducible factors p of the minimal polynomials of
 algebra elements a taken from a fixed list of words in the generators (no
 random words: `_element_stream`), and Norton's criterion decides when
 ker p(a) is a line over Q[a]/(p).  An element a = alpha b + beta I of an
-earlier element b is not factored again: its factors are the images of
-b's, and its kernels are b's, each computed and spun once a walk.
+earlier element b takes b's factors, mapped, and b's kernels; a subquotient
+takes the factors found up its chain: each fact is decided once a module.
 `is_simple` takes its first finding, and the isotropic search its smallest
 isotropic spin or its certificate, which the reduction loop takes as is.  A
 spin from ker p(a) contains Q[a]v and so has dimension at least deg p: once
@@ -143,34 +143,58 @@ def _factor_kernels(V: SeifertModule):
     s, 2s, s, s + I and 0).  It is not factored: its factors are the monic
     p((x - beta)/alpha) of b's factors p, sorted the same way (the monic
     irreducible factors are unique), and ker of the image of p at a is
-    ker p(b).  Each such kernel is computed once, when b or a repeat first
-    reads it, and kept for the rest of the walk; `kernel_columns` gives the
-    canonical basis of a kernel, so the columns are the ones a's own
-    factorization gives."""
-    seen = {}
-    for count, a in enumerate(itertools.islice(_element_stream(V), 8)):
-        form = _affine_form(a)
-        if form[0] not in seen:
-            _, factors = factor_rational_poly(minimal_polynomial(a))
-            seen[form[0]] = form, a, factors, {}
-        b_form, b, factors, memo = seen[form[0]]
-        order = [(p, i) for i, (p, _mult) in enumerate(factors)]
-        alpha, beta = _affine_repeat(form, b_form)
-        if (alpha, beta) != (1, 0):
-            shift = QPoly([-beta / alpha, 1 / alpha])
-            order = sorted(((p.compose(shift).monic(), i) for p, i in order),
-                           key=lambda pi: factor_order(pi[0]))
+    ker p(b).  `kernel_columns` gives the canonical basis of a kernel, so
+    the columns are the ones a's own factorization gives.  V keeps them
+    all (`_walk_facts`) for its later walks.  On a module induced from U
+    (`_up`), an element that a walk of U or above reached is not factored:
+    its minimal polynomial divides the one there, so its factors are the
+    p of that list with ker p(a) != 0."""
+    if V._walk_facts is None:
+        V._walk_facts = [], {}, itertools.islice(_element_stream(V), 8)
+    steps, seen, stream = V._walk_facts
+    for count in itertools.count():
+        if count == len(steps):
+            a = next(stream, None)
+            if a is None:
+                return
+            form = _affine_form(a)
+            if form[0] not in seen:
+                seen[form[0]] = form, a, _factors(V._up, count, a), {}
+            b_form, b, factors, memo = seen[form[0]]
+            order = [(p, i) for i, p in enumerate(factors)]
+            alpha, beta = _affine_repeat(form, b_form)
+            if (alpha, beta) != (1, 0):
+                shift = QPoly([-beta / alpha, 1 / alpha])
+                order = sorted(((p.compose(shift).monic(), i)
+                                for p, i in order),
+                               key=lambda pi: factor_order(pi[0]))
+            steps.append((a, b, factors, order, memo))
+        a, b, factors, order, memo = steps[count]
         yield count, a, _kernels(b, factors, order, memo)
 
 
+def _factors(U, count: int, a: QMatrix) -> list:
+    """The factor list of a, element `count` of a module induced from U
+    (or None): that of the nearest of U and the modules up from it whose
+    walk reached that element, less the factors of zero kernel there (it
+    may hold p with p(a) invertible), else a's own factorization."""
+    while U is not None:
+        if U._walk_facts is not None and count < len(U._walk_facts[0]):
+            _a, _b, _factors, order, memo = U._walk_facts[0][count]
+            return [q for q, i in order if memo.get(i) != []]
+        U = U._up
+    return [p for p, _mult in factor_rational_poly(minimal_polynomial(a))[1]]
+
+
 def _kernels(b: QMatrix, factors: list, order: list, memo: dict):
-    """(q, columns of ker p_i(b)) for each (q, i) of `order`, p_i the i-th
-    of `factors`, each kernel computed at most once into `memo`."""
+    """(q, columns of ker p_i(b)) for each (q, i) of `order` with a nonzero
+    kernel, p_i the i-th of `factors`, each computed once into `memo`."""
     for q, i in order:
         if i not in memo:
-            m = kernel_columns(factors[i][0].eval_matrix(b))
+            m = kernel_columns(factors[i].eval_matrix(b))
             memo[i] = [m.col(j) for j in range(m.cols)]
-        yield q, memo[i]
+        if memo[i]:
+            yield q, memo[i]
 
 
 def _affine_form(a: QMatrix):

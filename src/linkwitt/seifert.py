@@ -22,7 +22,9 @@ class SeifertError(ValueError):
 
 
 class SeifertModule:
-    """Representation given by an endomorphism s and idempotents e_1..e_mu."""
+    """Representation given by an endomorphism s and idempotents e_1..e_mu.
+    `_walk_facts` keeps what its walk decided (`devissage._factor_kernels`),
+    `_up` the module a subquotient is induced from (`_subquotient`)."""
 
     def __init__(self, mu: int, s: QMatrix, projections, ring: str = "Q"):
         if mu < 1:
@@ -41,6 +43,7 @@ class SeifertModule:
         self.s = s
         self.projections = list(projections)
         self.ring = ring
+        self._walk_facts = self._up = None
 
     @staticmethod
     def from_blocks(mu: int, s: QMatrix, sizes, ring: str = "Q"):
@@ -301,7 +304,9 @@ def _subquotient(V: SeifertModule, L: QMatrix, A: QMatrix) -> SeifertModule:
         if X is None or any(any(row[:k]) for row in X.data[k:]):
             raise SeifertError("subspace is not invariant")
         maps.append(QMatrix(A.cols, A.cols, [row[k:] for row in X.data[k:]]))
-    return SeifertModule(V.mu, maps[0], maps[1:])
+    W = SeifertModule(V.mu, maps[0], maps[1:])
+    W._up = V
+    return W
 
 
 def submodule_from_basis(V: SeifertModule, basis: QMatrix):
@@ -356,10 +361,18 @@ def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
 
     Returns (form on the subquotient, basis columns of the chosen section
     inside the ambient module): the L-perp basis columns at the non-pivot
-    coordinates of L inside L-perp.  Precondition: f is valid.  It is not
-    checked here: in the Witt reduction f is the checked input or comes
-    from a checked form by a step that keeps forms valid.  The isotropy of
-    L and the output form are checked."""
+    coordinates of L inside L-perp.  f must be valid (in the Witt reduction
+    it is the checked input or comes from one by a step that keeps forms
+    valid); the isotropy of L is checked.  The output carries f's mark
+    (`_derived`), so its one `validate()` returns at once for a marked f
+    and checks in full otherwise: it is valid when f is.  Let S be the
+    section, P = L-perp = L + span S and m S = S m_bar + L X for each
+    generator m (L and P invariant: `_subquotient` checks it).  phi(L, P)
+    = 0 gives S^T phi L = 0 = L^T phi S, so phi_bar m_bar = S^T phi m S
+    and m_bar^T phi_bar = S^T m^T phi S: phi^T = zeta phi, phi s = (1 -
+    s^T) phi and phi e = e^T phi pass to phi_bar.  The radical of phi on P
+    is P meet P-perp = L-perp meet L = L (phi nonsingular, L isotropic),
+    so phi_bar is nonsingular."""
     L = incl.matrix
     iso = L.transpose() * f.phi * L
     if not iso.is_zero():
@@ -373,7 +386,7 @@ def induced_form_on_subquotient(f: SeifertForm, incl: SeifertMorphism):
     section = QMatrix(perp.rows, len(cols),
                       [[row[c] for c in cols] for row in perp.data])
     phi_bar = section.transpose() * f.phi * section
-    induced = SeifertForm(_subquotient(f.module, L, section), f.zeta, phi_bar)
+    induced = f._derived(_subquotient(f.module, L, section), phi_bar)
     err = induced.validate()
     if err is not None:
         raise SeifertError(f"induced form invalid: {err}")

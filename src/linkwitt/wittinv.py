@@ -166,12 +166,15 @@ def _in_powers_of(nf, beta: QPoly, f: int, xis: list) -> list:
 
 
 def _fixed_field_primitive(nf) -> tuple:
-    """(beta, its minimal polynomial) for the fixed field of the involution."""
+    """(beta, its minimal polynomial) for the fixed field of the involution;
+    a rational constant (minimal polynomial of degree 1) wins only if f = 1."""
     f = nf.fixed_field_degree
     basis = endofield.fixed_field_basis(nf)
     for coeffs in endofield.primitive_candidates(f):
         beta = field_reduce(nf, sum((c * b for c, b in zip(coeffs, basis)),
                                     QPoly.zero()))
+        if f > 1 and beta.degree() < 1:
+            continue
         mp = _element_minpoly(nf, beta)
         if mp.degree() == f:
             return beta, mp

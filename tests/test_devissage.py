@@ -1084,3 +1084,142 @@ def test_the_bench_ops_offer_each_kernel_once(monkeypatch, tmp_path):
         [(dv, "spin"), (dv, "factor_rational_poly")])
     assert calls["spin"] <= 950
     assert calls["factor_rational_poly"] <= 805
+
+
+def test_the_bench_ops_decide_each_walk_fact_once(monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 made 805 factorizations
+    # and minimal polynomials in the devissage and 546 full form checks
+    # while each walk factored its elements again and each induced form
+    # was checked in full; the walk itself makes the same 942 spins
+    import linkwitt.devissage as dv
+    checks = []
+    validate = SeifertForm.validate
+
+    def checked(self):
+        if not self._validated:
+            checks.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SeifertForm, "validate", checked)
+    calls = _bench_op_calls(
+        monkeypatch, tmp_path, "metabolic_pairs", 120,
+        [(dv, "spin"), (dv, "factor_rational_poly"),
+         (dv, "minimal_polynomial")])
+    assert calls["spin"] == 942
+    assert calls["factor_rational_poly"] <= 248
+    assert calls["minimal_polynomial"] <= 248
+    assert len(checks) == 240       # the two input forms of each op
+
+
+def test_the_fixed_field_primitive_passes_over_rational_constants(
+        monkeypatch, tmp_path):
+    # the 160 knot_invariants ops of seed 11 took 232 minimal polynomials
+    # of fixed-field candidates, 116 of them of rational constants, which
+    # cannot generate a fixed field of degree > 1
+    import linkwitt.wittinv as wi
+    calls = _bench_op_calls(monkeypatch, tmp_path, "knot_invariants", 160,
+                            [(wi, "_element_minpoly")])
+    assert calls["_element_minpoly"] <= 116
+
+
+def test_inherited_factor_lists_give_the_pairs_of_each_own_factorization(
+        monkeypatch):
+    # a module induced from U starts from U's factor list of each element
+    # and keeps the factors with a nonzero kernel: the (p, kernel) pairs
+    # are the ones factoring each element itself gives
+    import linkwitt.devissage as dv
+    from support import knot_form
+    factor_kernels, factors = dv._factor_kernels, dv._factors
+    walked, inherited = [], []
+
+    def tagged(W):
+        walked.append(W)
+        return factor_kernels(W)
+
+    def counted(U, count, a):
+        own = dv.factor_rational_poly
+        calls = []
+        monkeypatch.setattr(dv, "factor_rational_poly",
+                            lambda p: calls.append(p) or own(p))
+        out = factors(U, count, a)
+        monkeypatch.setattr(dv, "factor_rational_poly", own)
+        if not calls:
+            inherited.append(out)
+        return out
+
+    rng = random.Random(0x13B)
+    forms = _oracle_forms() + [knot_form(rng, 2) for _ in range(8)]
+    monkeypatch.setattr(dv, "_factor_kernels", tagged)
+    monkeypatch.setattr(dv, "_factors", counted)
+    for f in forms:
+        witt_reduce(f)
+    monkeypatch.undo()
+    compared = 0
+    for W in walked:
+        if W._up is None or W.dim == 1:
+            continue
+        got = [(a, list(kernels)) for _count, a, kernels in factor_kernels(W)]
+        assert got == list(_factor_kernels_oracle(W))
+        compared += 1
+    assert compared >= 90
+    assert len(inherited) >= 100
+
+
+def test_is_simple_after_the_search_decides_no_walk_fact_again(monkeypatch):
+    # after a search that found nothing, is_simple walks the same module:
+    # it factors no element and reads the kernels the search computed
+    import linkwitt.devissage as dv
+    factor_kernels = dv._factor_kernels
+    walked = 0
+    for f in _oracle_forms():
+        V = f.module
+        if dv._isotropic_search(f) != (None, None):
+            continue
+        kept = {id(ker) for _form, _b, _factors, memo in
+                V._walk_facts[1].values() for ker in memo.values()}
+        offered, factored = set(), []
+
+        def tagged(W):
+            for count, a, kernels in factor_kernels(W):
+                yield count, a, ((p, offered.add(id(ker)) or ker)
+                                 for p, ker in kernels)
+
+        monkeypatch.setattr(dv, "_factor_kernels", tagged)
+        monkeypatch.setattr(dv, "_factors", lambda *args: factored.append(1))
+        is_simple(V)
+        monkeypatch.undo()
+        assert not factored
+        assert offered <= kept
+        walked += 1
+    assert walked > 0
+
+
+def test_each_induced_form_passes_the_full_check(monkeypatch, tmp_path):
+    # the reduction's induced forms carry the mark of the checked input;
+    # rebuilt unmarked from the same module and phi, each passes the full
+    # check (the bench ops and orthogonal sums f + (-conj f))
+    import linkwitt.devissage as dv
+    from support import conjugate_form
+    induced_form = dv.induced_form_on_subquotient
+    induced = []
+
+    def kept(f, incl):
+        out = induced_form(f, incl)
+        induced.append(out[0])
+        return out
+
+    monkeypatch.setattr(dv, "induced_form_on_subquotient", kept)
+    calls = _bench_op_calls(monkeypatch, tmp_path, "metabolic_pairs", 120,
+                            [(dv, "induced_form_on_subquotient")])
+    assert calls["induced_form_on_subquotient"] == len(induced) >= 300
+    rng = random.Random(0x13F)
+    monkeypatch.setattr(dv, "induced_form_on_subquotient", kept)
+    for _ in range(24):
+        f = random_form(rng, rng.randint(1, 3), rng.randint(2, 4),
+                        rng.choice([1, -1]))
+        witt_reduce(f.direct_sum(conjugate_form(rng, f).negate()))
+    monkeypatch.undo()
+    assert len(induced) >= 330
+    for g in induced:
+        assert g._validated
+        assert SeifertForm(g.module, g.zeta, g.phi).validate() is None
