@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, _integer_product, _over,
+from .rational import (Q0, Q1, QMatrix, _integer_product, _over, _sparse,
                        integer_matrix, rat, rat_str)
 from .seifert import SeifertError, SeifertForm, SeifertModule
 
@@ -53,11 +53,6 @@ def word_str(w: tuple) -> str:
     if not w:
         return "1"
     return " ".join(f"z{g}" if e == 1 else f"z{g}^-1" for g, e in w)
-
-
-def _length_then_word(w: tuple) -> tuple:
-    """Sort key of words: shorter words first, then lexicographic."""
-    return len(w), w
 
 
 class GroupRingElem:
@@ -139,7 +134,9 @@ class GroupRingElem:
         if not self.terms:
             return "0"
         bits = []
-        for w in sorted(self.terms, key=_length_then_word):
+        # (length, word) order: a stable sort by length of the
+        # lexicographic order
+        for w in sorted(sorted(self.terms), key=len):
             bits.append(f"{rat_str(self.terms[w])}*{word_str(w)}")
         return " + ".join(bits)
 
@@ -285,15 +282,16 @@ class TruncatedSeries:
                                         if len(w) <= degree})
 
     def serialize(self, names: dict | None = None) -> list:
-        """[word, coefficient] string pairs in (length, word) order, the
-        word written "x1 x2" ("1" when empty).  `names` maps words to their
+        """[word, coefficient] string pairs in (length, word) order (a
+        stable sort by length of the lexicographic order), the word
+        written "x1 x2" ("1" when empty).  `names` maps words to their
         names; the entries of one matrix share it, so each word's name is
         built once for the matrix."""
         if names is None:
             names = {}
         terms = self.terms
         out = []
-        for w in sorted(terms, key=_length_then_word):
+        for w in sorted(sorted(terms), key=len):
             name = names.get(w)
             if name is None:
                 name = names[w] = " ".join([f"x{i}" for i in w]) or "1"
@@ -384,8 +382,7 @@ def _word_products(start: QMatrix, transitions: list, degree: int):
         grown = []
         for w, (D, rows) in frontier:
             for i, (d, N), cols in letters:
-                product = [[(j, x) for j, x in enumerate(row) if x]
-                           for row in _integer_product(rows, N, cols)]
+                product = _sparse(_integer_product(rows, N, cols))
                 if any(product):
                     grown.append((w + (i,), (D * d, product)))
         yield from grown
@@ -432,8 +429,7 @@ class NCRationalSeries:
         dc, C = integer_matrix(self.col)
         states = _word_products(self.row, self.transitions, degree)
         return _series_matrix(
-            ((w, (D * dc, [[(0, x) for x in row if x]
-                           for row in _integer_product(rows, C, 1)]))
+            ((w, (D * dc, _sparse(_integer_product(rows, C, 1))))
              for w, (D, rows) in states),
             1, degree)[0][0]
 

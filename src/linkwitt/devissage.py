@@ -40,11 +40,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace, apply_integer,
-                       factor_order, factor_rational_poly, hilbert_symbol,
-                       integer_matrix, integer_row, kernel_columns, lincomb,
-                       minimal_polynomial, relevant_places, solve_or_kernel,
-                       span_coordinates, spin)
+from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace, _dense,
+                       apply_integer, factor_order, factor_rational_poly,
+                       hilbert_symbol, integer_matrix, integer_row,
+                       kernel_columns, lincomb, minimal_polynomial,
+                       relevant_places, solve_or_kernel, span_coordinates,
+                       spin)
 from .seifert import (SeifertError, SeifertForm, SeifertModule,
                       SeifertMorphism, find_isomorphism, hom_space,
                       induced_form_on_subquotient, perp_basis, quotient_module,
@@ -206,10 +207,7 @@ def _affine_form(a: QMatrix):
     reads anyway."""
     d, N = integer_matrix(a)
     n = a.rows
-    flat = [0] * (n * n)
-    for i, row in enumerate(N):
-        for j, x in row:
-            flat[i * n + j] = x
+    flat = [x for row in N for x in _dense(row, n)]
     corner = flat[0]
     for i in range(0, n * n, n + 1):
         flat[i] -= corner

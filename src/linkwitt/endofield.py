@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace,
+from .rational import (Q0, Q1, QMatrix, QPoly, RowSpace, coordinates,
                        factor_rational_poly, is_irreducible,
                        is_rational_square, kernel_columns, lincomb,
                        minimal_polynomial, norm_class_test_quadratic,
@@ -246,12 +246,17 @@ def field_conj(nf, a: QPoly) -> QPoly:
 
 
 def matrix_to_element(nf, m: QMatrix) -> QPoly:
-    """Express an endomorphism as a polynomial in the primitive element."""
-    d = nf.degree
-    powers = [QMatrix.identity(m.rows)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * nf.embedding)
-    coeffs = span_coordinates(powers, [m])
+    """The r of degree < d with r(theta) = m, for m in End(M) = F =
+    Q[theta] of degree d, read off m e_1 (m itself when m is a column) by
+    one solve of [e_1, theta e_1, .., theta^(d-1) e_1] c = m e_1.  F is a
+    field acting faithfully on M, so s(theta) e_1 = 0 for s(theta) in F
+    means s(theta) is not invertible, hence zero."""
+    col = QMatrix.column([Q1] + [Q0] * (m.rows - 1))
+    krylov = col
+    for _ in range(nf.degree - 1):
+        col = nf.embedding * col
+        krylov = krylov.hstack(col)
+    coeffs = coordinates(krylov, m.block(0, m.rows, 0, 1))
     if coeffs is None:
         raise EndomorphismError("endomorphism outside the generated field")
     return QPoly(coeffs.col(0))
@@ -267,8 +272,11 @@ def involution_from_form(nf: NumberFieldWithInvolution,
         raise EndomorphismError(f"invalid form for involution: {err}")
     if b.module != nf.module:
         raise EndomorphismError("form lives on a different module")
+    # the image b^{-1} theta^T b of theta is read off its first column y,
+    # the solution of B y = theta^T B e_1 (B is nonsingular)
     B = b.phi
-    image = matrix_to_element(nf, B.inverse() * nf.embedding.transpose() * B)
+    y = coordinates(B, nf.embedding.transpose() * B.block(0, B.rows, 0, 1))
+    image = matrix_to_element(nf, y)
     out = NumberFieldWithInvolution(nf.minpoly, nf.embedding, nf.module,
                                     image)
     if field_conj(out, image) != QPoly.x() % nf.minpoly:
@@ -320,8 +328,9 @@ def transported_scalar(nf: NumberFieldWithInvolution, b: SeifertForm,
                        phi: SeifertForm) -> QPoly:
     """The endomorphism zeta * b^{-1} phi as a field element; this is the
     Morita image of a form phi on the representative module itself."""
-    g = b.phi.inverse() * phi.phi
-    return field_reduce(nf, matrix_to_element(nf, g) * Fraction(phi.zeta))
+    # b^{-1} phi e_1 is the solution y of b y = phi e_1 (b is nonsingular)
+    y = coordinates(b.phi, phi.phi.block(0, phi.phi.rows, 0, 1))
+    return field_reduce(nf, matrix_to_element(nf, y) * Fraction(phi.zeta))
 
 
 def morita_transport(nf: NumberFieldWithInvolution, forms: list,

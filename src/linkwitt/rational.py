@@ -2,25 +2,25 @@
 
 Matrices, univariate polynomials, polynomial factorization, real root
 isolation, integer factorization, square classes, and the places of Q with
-their Hilbert symbols.  Entries and coefficients are read and returned as
-`fractions.Fraction`, but the matrix and polynomial kernels compute on
-integers.
-`RowSpace`, `spin`, `rref` (behind `coordinates`, `kernel_columns`,
-`solve_or_kernel`) and the Krylov chains of `minimal_polynomial` eliminate
-on primitive integer multiples of their rows; a reduced row echelon form
-depends only on the row space, so each result is the one Gauss-Jordan over
-Q gives.  Matrix products, `QPoly.eval_matrix`, `QMatrix.det`, `spin` and
-`minimal_polynomial` work on the integer matrix dM of `integer_matrix`, d
-the common denominator, and divide once, when the result is read out; dM
-is computed at most once per matrix and kept on it.  Polynomial products,
+their Hilbert symbols.  No floating point is used anywhere.
+
+A `QMatrix` is its integer model (D, N), D the least common denominator
+and N = D times the matrix as sparse integer rows (`integer_matrix`).
+Products, sums, stacks, transposes, `eval_matrix`, `det`, `spin`,
+`minimal_polynomial` and the eliminations behind `rref`, `coordinates`,
+`kernel_columns` and `solve_or_kernel` read and build models, so a chain
+of them makes no Fraction.  `.data`, the Fraction entries, is a view built
+on the first read and kept; nothing may write to it, since the operations
+read the model.  The eliminations run on primitive integer multiples of
+their rows; a reduced row echelon form depends only on the row space, so
+each result is the one Gauss-Jordan over Q gives.  Polynomial products,
 remainders (one pseudo-division loop), field multiplication
 (`QPoly.mulmod`) and evaluation work likewise on the integer model Lp of
 `integer_poly`, L the common denominator, kept on each polynomial, and
-read out once.  Builders whose entries are Fractions already skip the
-parsing constructor (`QMatrix._of`, `QPoly._of`).  No floating point is used
-anywhere; every sign of a real algebraic number is a Tarski query, sign
-variations of one signed remainder sequence (`sturm_chain`), the sequence
-that also counts and isolates the real roots.
+read out once (`QPoly._of` skips the parser).  Every sign of a real
+algebraic number is a Tarski query, sign variations of one signed
+remainder sequence (`sturm_chain`), the sequence that also counts and
+isolates the real roots.
 """
 
 from __future__ import annotations
@@ -70,17 +70,22 @@ def rat_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 class QMatrix:
-    """Dense rational matrix, row-major, of `Fraction` entries.
+    """Rational matrix, held as its integer model (D, N): D > 0 the least
+    common denominator of the entries, N = D times the matrix as sparse
+    integer rows of (column, entry) pairs, ascending, with no zero entry.
+    The model is canonical, and each operation reads the models of its
+    operands and builds that of its result (`QMatrix._model`), with no
+    Fraction in between.  `data` is a view, the entries as rows of
+    Fractions, built by `_over` on the first read and kept.  `QMatrix(...)`
+    (parsing with `rat`, checking the shape) and `QMatrix._of` take
+    Fraction rows; `integer_matrix` computes their model on first use.
 
     Immutable: nothing writes to `data`, its rows or its entries outside
-    the two constructors (`tests/test_immutable_matrices.py` checks this),
-    because `integer_matrix` keeps the integer form of each matrix in
-    `_ints` and a write would leave that stale.  `QMatrix(...)` parses its
-    entries with `rat` and checks the shape; `QMatrix._of` wraps rows that
-    are already fresh lists of `Fraction`s of the right shape, with no
-    copy."""
+    the constructors (`tests/test_immutable_matrices.py` checks this): a
+    write would change the view and leave the model, which every
+    operation reads, stale."""
 
-    __slots__ = ("rows", "cols", "data", "_ints")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -90,7 +95,7 @@ class QMatrix:
             raise ValueError("shape mismatch")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
         self._ints = None
 
     @staticmethod
@@ -98,17 +103,39 @@ class QMatrix:
         """The trusted constructor: `data` is `rows` new lists of `cols`
         `Fraction`s each, owned by the result from now on."""
         M = object.__new__(QMatrix)
-        M.rows, M.cols, M.data, M._ints = rows, cols, data, None
+        M.rows, M.cols, M._data, M._ints = rows, cols, data, None
         return M
 
     @staticmethod
+    def _model(rows: int, cols: int, D: int, N: list) -> "QMatrix":
+        """The trusted constructor from a model: `rows` new sparse integer
+        rows N over D > 0, owned by the result from now on; one gcd pass
+        reduces D to the least common denominator."""
+        g = math.gcd(D, *[x for row in N for _, x in row]) if D > 1 else 1
+        if g > 1:
+            D //= g
+            N = [[(j, x // g) for j, x in row] for row in N]
+        M = object.__new__(QMatrix)
+        M.rows, M.cols, M._data, M._ints = rows, cols, None, (D, N)
+        return M
+
+    @property
+    def data(self) -> list:
+        """The entries as rows of Fractions in lowest terms, a view of the
+        model built on the first read and kept: read it, never change it."""
+        data = self._data
+        if data is None:
+            D, N = self._ints
+            data = self._data = [_over(D, _dense(row, self.cols)) for row in N]
+        return data
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix._of(rows, cols, [[Q0] * cols for _ in range(rows)])
+        return QMatrix._model(rows, cols, 1, [[] for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix._of(n, n, [[Q1 if i == j else Q0 for j in range(n)]
-                                  for i in range(n)])
+        return QMatrix._model(n, n, 1, [[(i, 1)] for i in range(n)])
 
     @staticmethod
     def from_rows(rows) -> "QMatrix":
@@ -123,16 +150,13 @@ class QMatrix:
     @staticmethod
     def diag(blocks) -> "QMatrix":
         """Block-diagonal assembly."""
-        r = sum(b.rows for b in blocks)
-        c = sum(b.cols for b in blocks)
-        out = [[Q0] * c for _ in range(r)]
-        i0 = j0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out[i0 + i][j0:j0 + b.cols] = list(b.data[i])
-            i0 += b.rows
+        models = [integer_matrix(b) for b in blocks]
+        D = math.lcm(*[d for d, _ in models])
+        out, j0 = [], 0
+        for b, (d, N) in zip(blocks, models):
+            out += [[(j0 + j, D // d * x) for j, x in row] for row in N]
             j0 += b.cols
-        return QMatrix._of(r, c, out)
+        return QMatrix._model(len(out), j0, D, out)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
@@ -141,67 +165,65 @@ class QMatrix:
         return list(self.data[i])
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
 
     def flat(self) -> list:
         """Entries in row-major order."""
         return [x for row in self.data for x in row]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix._of(self.cols, self.rows,
-                           [[self.data[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+        D, N = integer_matrix(self)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(N):
+            for j, x in row:
+                out[j].append((i, x))
+        return QMatrix._model(self.cols, self.rows, D, out)
+
+    def block(self, i0: int, i1: int, j0: int, j1: int) -> "QMatrix":
+        """The submatrix of rows i0..i1-1 and columns j0..j1-1."""
+        D, N = integer_matrix(self)
+        return QMatrix._model(i1 - i0, j1 - j0, D,
+                              [[(j - j0, x) for j, x in row if j0 <= j < j1]
+                               for row in N[i0:i1]])
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(integer_matrix(self)[1])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols
+                and integer_matrix(self) == integer_matrix(other))
 
     def __hash__(self):
         return hash((self.rows, self.cols,
                      tuple(tuple(r) for r in self.data)))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return QMatrix._of(self.rows, self.cols,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+        return lincomb((Q1, Q1), (self, other))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return QMatrix._of(self.rows, self.cols,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+        return lincomb((Q1, -Q1), (self, other))
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix._of(self.rows, self.cols,
-                           [[-a for a in r] for r in self.data])
+        return lincomb((-Q1,), (self,))
 
     def scale(self, c) -> "QMatrix":
-        c = rat(c)
-        return QMatrix._of(self.rows, self.cols,
-                           [[c * a for a in r] for r in self.data])
+        return lincomb((c,), (self,))
 
     def __mul__(self, other):
-        """Scalar multiple, or the matrix product: the integer matrices
-        d1*self and d2*other of `integer_matrix` are multiplied and the
-        product is divided by d1*d2 only when it is read out."""
+        """Scalar multiple, or the matrix product: the product of the
+        models, over d1*d2."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         d1, A = integer_matrix(self)
         d2, B = integer_matrix(other)
-        # the width is passed on: a 0-row product has no row to show it
-        return _read_out(d1 * d2, _integer_product(A, B, other.cols),
-                         other.cols)
+        return QMatrix._model(self.rows, other.cols, d1 * d2,
+                              _sparse(_integer_product(A, B, other.cols)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,28 +240,36 @@ class QMatrix:
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
-        return QMatrix._of(self.rows, self.cols + other.cols,
-                           [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        d1, A = integer_matrix(self)
+        d2, B = integer_matrix(other)
+        D = math.lcm(d1, d2)
+        s1, s2, c = D // d1, D // d2, self.cols
+        return QMatrix._model(self.rows, c + other.cols, D,
+                              [[(j, s1 * x) for j, x in ra]
+                               + [(c + j, s2 * x) for j, x in rb]
+                               for ra, rb in zip(A, B)])
 
     def vstack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("dimension mismatch")
-        return QMatrix._of(self.rows + other.rows, self.cols,
-                           [list(r) for r in self.data + other.data])
+        return self.transpose().hstack(other.transpose()).transpose()
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot column list).  The
         elimination is `RowSpace`'s, fraction-free on the primitive integer
-        multiples of the rows; R has the same row space, so it is the
-        reduced form over Q, followed by zero rows."""
+        multiples of the rows of the model; R has the same row space, so it
+        is the reduced form over Q, followed by zero rows."""
         space = RowSpace(self.cols)
-        for row in self.data:
+        for entries in integer_matrix(self)[1]:
             if space.dim() == self.cols:
                 break
-            _insert(space.rows, space.pivots, integer_row(row))
-        zeros = [[Q0] * self.cols for _ in range(self.rows - space.dim())]
-        return (QMatrix._of(self.rows, self.cols,
-                            space.basis_matrix().data + zeros), space.pivots)
+            if entries:
+                _insert(space.rows, space.pivots,
+                        _primitive(_dense(entries, self.cols)))
+        D, N = _over_pivots(space.rows, space.pivots)
+        return (QMatrix._model(self.rows, self.cols, D,
+                               N + [[] for _ in range(self.rows - len(N))]),
+                space.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -253,10 +283,7 @@ class QMatrix:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
         d, sparse = integer_matrix(self)
-        m = [[0] * n for _ in range(n)]
-        for row, entries in zip(m, sparse):
-            for j, x in entries:
-                row[j] = x
+        m = [_dense(row, n) for row in sparse]
         sign, prev = 1, 1
         for c in range(n):
             p = next((i for i in range(c, n) if m[i][c]), None)
@@ -286,6 +313,15 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _over_pivots(rows: list, pivots: list):
+    """(D, sparse rows): the integer echelon rows of a `RowSpace`, each
+    divided by its pivot entry, over D the lcm of the pivot entries, the
+    least common denominator (the rows are primitive)."""
+    D = math.lcm(*[row[p] for row, p in zip(rows, pivots)])
+    return D, [[(j, x * (D // row[p])) for j, x in enumerate(row) if x]
+               for row, p in zip(rows, pivots)]
+
+
 class SolveResult:
     """Outcome of solve_or_kernel: rank, kernel basis, particular solution,
     inverse (square full-rank case only)."""
@@ -298,74 +334,54 @@ class SolveResult:
 
 
 def solve_or_kernel(M: QMatrix, b: QMatrix | None = None) -> SolveResult:
-    """Gaussian elimination in one sweep: rank, null-space basis, a particular
-    solution of M x = b (or "inconsistent"), and the inverse when M is square
-    and regular."""
+    """Rank, null-space basis and, when M is square and regular, the
+    inverse, from one rref of M (of [M | 1] when square); and a particular
+    solution of M x = b (or "inconsistent") from `coordinates`."""
     n, m = M.rows, M.cols
-    aug = M
-    if b is not None:
-        if b.rows != n:
-            raise ValueError("dimension mismatch")
-        if b.cols != 1:
-            raise ValueError("right-hand side must be a single column")
-        aug = M.hstack(b)
-    want_inverse = M.is_square()
-    if want_inverse:
-        aug = aug.hstack(QMatrix.identity(n))
-    R, pivots = aug.rref()
-    pivots_main = [c for c in pivots if c < m]
-    rank = len(pivots_main)
-    kernel = _kernel_vectors(R, pivots_main, m)
-
-    particular = None
-    if b is not None:
-        if any(R.data[r][m] for r in range(rank, n)):
-            particular = "inconsistent"
-        else:
-            particular = [row[0] for row in
-                          _solution_rows(R, pivots_main, m, 1)]
-
-    inverse = None
-    if want_inverse and rank == n == m:
-        off = m + (1 if b is not None else 0)
-        inverse = QMatrix._of(n, n, [row[off:off + n] for row in R.data])
-    return SolveResult(rank, kernel, particular, inverse)
+    if b is not None and b.rows != n:
+        raise ValueError("dimension mismatch")
+    if b is not None and b.cols != 1:
+        raise ValueError("right-hand side must be a single column")
+    R, pivots = (M.hstack(QMatrix.identity(n)) if M.is_square()
+                 else M).rref()
+    rank = bisect.bisect(pivots, m - 1)
+    K = _kernel(R, pivots[:rank], m)
+    X = None if b is None else coordinates(M, b)
+    particular = (None if b is None else "inconsistent" if X is None
+                  else X.col(0))
+    inverse = R.block(0, n, m, m + n) if rank == n == m else None
+    return SolveResult(rank, [K.col(j) for j in range(K.cols)], particular,
+                       inverse)
 
 
-def _kernel_vectors(R: QMatrix, pivots: list, m: int) -> list:
-    """Null-space basis of the first m columns of a reduced row echelon form
-    R whose pivots among them are `pivots`: one vector per free column."""
-    kernel = []
-    pivset = set(pivots)
-    for fc in range(m):
-        if fc in pivset:
-            continue
-        v = [Q0] * m
-        v[fc] = Q1
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.data[r][fc]
-        kernel.append(v)
-    return kernel
-
-
-def _solution_rows(R: QMatrix, pivots: list, m: int, k: int) -> list:
-    """Rows of the solution X of B X = C read off the reduced row echelon
-    form R of [B | C | ...], B with m columns and pivots `pivots`, C with k
-    columns; free variables are 0."""
-    X = [[Q0] * k for _ in range(m)]
-    for r, pc in enumerate(pivots):
-        X[pc] = R.data[r][m:m + k]
-    return X
+def _kernel(R: QMatrix, pivots: list, m: int) -> QMatrix:
+    """Null-space basis of the first m columns of a reduced row echelon
+    form R whose pivots among them are `pivots`, as the columns of an
+    m x k matrix: for each free column fc, 1 at fc and -R[r][fc] at the
+    pivot of each row r."""
+    D, N = integer_matrix(R)
+    free = sorted(set(range(m)) - set(pivots))
+    index = {fc: t for t, fc in enumerate(free)}
+    out = [[] for _ in range(m)]
+    for t, fc in enumerate(free):
+        out[fc] = [(t, D)]
+    for p, row in zip(pivots, N):
+        out[p] = [(index[j], -x) for j, x in row if j in index]
+    return QMatrix._model(m, len(free), D, out)
 
 
 def coordinates(B: QMatrix, M: QMatrix) -> QMatrix | None:
-    """X with B X = M, from one rref of [B | M], free variables set to 0;
+    """X with B X = M, from one rref of [B | M], free variables set to 0:
+    the row of X at the pivot of a row of the rref is that row's M-part.
     None when a column of M lies outside the column span of B."""
     R, pivots = B.hstack(M).rref()
     if pivots and pivots[-1] >= B.cols:
         return None
-    return QMatrix._of(B.cols, M.cols,
-                       _solution_rows(R, pivots, B.cols, M.cols))
+    D, N = integer_matrix(R)
+    out = [[] for _ in range(B.cols)]
+    for p, row in zip(pivots, N):
+        out[p] = [(j - B.cols, x) for j, x in row if j >= B.cols]
+    return QMatrix._model(B.cols, M.cols, D, out)
 
 
 def span_coordinates(basis: list, mats: list) -> QMatrix | None:
@@ -380,36 +396,41 @@ def kernel_columns(M: QMatrix) -> QMatrix:
     """Null-space basis of M as the columns of a (cols x k) matrix; the
     shape is (cols, 0) when the kernel is trivial."""
     R, pivots = M.rref()
-    kernel = _kernel_vectors(R, pivots, M.cols)
-    if not kernel:
-        return QMatrix.zeros(M.cols, 0)
-    return QMatrix._of(M.cols, len(kernel), [list(r) for r in zip(*kernel)])
+    return _kernel(R, pivots, M.cols)
 
 
 def lincomb(coeffs, mats: list) -> QMatrix:
     """The sum of c * B over paired coefficients and (equally shaped)
-    matrices; zero coefficients are skipped."""
+    matrices, on their models over the lcm of the denominators of the
+    c * B; zero coefficients are skipped.  Sums, differences, negations and
+    scalar multiples are such combinations."""
     rows, cols = mats[0].rows, mats[0].cols
-    acc = [[Q0] * cols for _ in range(rows)]
-    for c, B in zip(coeffs, mats):
-        c = rat(c)
-        if c:
-            for arow, brow in zip(acc, B.data):
-                arow[:] = [a + c * x for a, x in zip(arow, brow)]
-    return QMatrix._of(rows, cols, acc)
+    if any((B.rows, B.cols) != (rows, cols) for B in mats):
+        raise ValueError("dimension mismatch")
+    terms = [(c, integer_matrix(B)) for c, B in
+             zip(map(rat, coeffs), mats) if c]
+    D = math.lcm(*[c.denominator * d for c, (d, _) in terms])
+    acc = [[0] * cols for _ in range(rows)]
+    for c, (d, N) in terms:
+        s = c.numerator * (D // (c.denominator * d))
+        for arow, entries in zip(acc, N):
+            for j, x in entries:
+                arow[j] += s * x
+    return QMatrix._model(rows, cols, D, _sparse(acc))
 
 
 def integer_matrix(M: QMatrix):
-    """(d, N): d the least common denominator of the entries of M and N = dM
-    as sparse integer rows, a list of (column, entry) pairs per row.  It is
-    computed once per matrix and kept on it (`QMatrix._ints`), so every
+    """(d, N), the model of M: d the least common denominator of the
+    entries of M and N = dM as sparse integer rows, a list of (column,
+    entry) pairs per row.  A matrix given by Fraction rows has it
+    computed on the first call and kept on it (`QMatrix._ints`), so every
     later call returns the same object: read it, never change it."""
     ints = M._ints
     if ints is None:
-        d = math.lcm(*[x.denominator for row in M.data for x in row])
+        d = math.lcm(*[x.denominator for row in M._data for x in row])
         ints = M._ints = (d, [[(j, x.numerator * (d // x.denominator))
                                for j, x in enumerate(row) if x]
-                              for row in M.data])
+                              for row in M._data])
     return ints
 
 
@@ -432,6 +453,19 @@ def _integer_product(A: list, B: list, cols: int) -> list:
     return out
 
 
+def _sparse(rows: list) -> list:
+    """The sparse form of dense integer rows."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def _dense(entries: list, cols: int) -> list:
+    """The dense integer row, `cols` wide, of a sparse one."""
+    row = [0] * cols
+    for j, x in entries:
+        row[j] = x
+    return row
+
+
 def _over(D: int, xs) -> list:
     """The Fractions x / D for the integers xs and D > 0, each in lowest
     terms from one gcd, with no parsing and no second normalization."""
@@ -445,11 +479,6 @@ def _over(D: int, xs) -> list:
         else:
             out.append(Q0)
     return out
-
-
-def _read_out(D: int, rows: list, cols: int) -> QMatrix:
-    """The QMatrix of dense integer rows, `cols` wide, divided by D > 0."""
-    return QMatrix._of(len(rows), cols, [_over(D, row) for row in rows])
 
 
 def _primitive(v: list) -> list:
@@ -522,10 +551,8 @@ class RowSpace:
         return len(self.rows)
 
     def basis_matrix(self) -> QMatrix:
-        return QMatrix._of(len(self.rows), self.width,
-                           [_over(row[p], row) if row[p] > 0
-                            else _over(-row[p], [-x for x in row])
-                            for row, p in zip(self.rows, self.pivots)])
+        return QMatrix._model(len(self.rows), self.width,
+                              *_over_pivots(self.rows, self.pivots))
 
 
 def spin(mats: list, vectors, width: int) -> RowSpace:
@@ -698,9 +725,9 @@ class QPoly:
         """p(M), by Horner from the leading coefficient on the integer
         matrix N = dM of `integer_matrix`: with L the common denominator of
         the coefficients c_i and k the degree, L*d^k*p(M) is the integer
-        polynomial with coefficients L*c_i*d^(k-i) at N, and it is divided
-        by L*d^k once, at the read-out.  Each step adds the next
-        coefficient on the diagonal only."""
+        polynomial with coefficients L*c_i*d^(k-i) at N, and it is the
+        model of p(M) over L*d^k.  Each step adds the next coefficient on
+        the diagonal only."""
         if not M.is_square():
             raise ValueError("dimension mismatch")
         n = M.rows
@@ -713,12 +740,11 @@ class QPoly:
         acc = [[ints[k] if i == j else 0 for j in range(n)]
                for i in range(n)]
         for c in reversed(ints[:-1]):
-            acc = _integer_product([[(j, x) for j, x in enumerate(row) if x]
-                                    for row in acc], N, n)
+            acc = _integer_product(_sparse(acc), N, n)
             if c:
                 for i, row in enumerate(acc):
                     row[i] += c
-        return _read_out(L * d ** k, acc, n)
+        return QMatrix._model(n, n, L * d ** k, _sparse(acc))
 
     def compose(self, inner: "QPoly") -> "QPoly":
         acc = QPoly.zero()

@@ -54,10 +54,10 @@ class SeifertModule:
         projections = []
         start = 0
         for size in sizes:
-            e = QMatrix.zeros(n, n).data
-            for i in range(start, start + size):
-                e[i][i] = Q1
-            projections.append(QMatrix(n, n, e))
+            block = range(start, start + size)
+            projections.append(QMatrix._of(n, n, [
+                [Q1 if i == j and i in block else Q0 for j in range(n)]
+                for i in range(n)]))
             start += size
         return SeifertModule(mu, s, projections, ring)
 
@@ -301,9 +301,9 @@ def _subquotient(V: SeifertModule, L: QMatrix, A: QMatrix) -> SeifertModule:
     maps = []
     for m in V.generators():
         X = coordinates(full, m * full)
-        if X is None or any(any(row[:k]) for row in X.data[k:]):
+        if X is None or not X.block(k, X.rows, 0, k).is_zero():
             raise SeifertError("subspace is not invariant")
-        maps.append(QMatrix(A.cols, A.cols, [row[k:] for row in X.data[k:]]))
+        maps.append(X.block(k, X.rows, k, X.cols))
     W = SeifertModule(V.mu, maps[0], maps[1:])
     W._up = V
     return W
@@ -345,7 +345,7 @@ def quotient_module(V: SeifertModule, incl: SeifertMorphism):
     # [W | C] is invertible; quotient coordinates are the last n-k rows of
     # its inverse.
     inv = W.hstack(section).inverse()
-    proj = QMatrix(n - k, n, inv.data[k:])
+    proj = inv.block(k, n, 0, n)
     Qmod = _subquotient(V, W, section)
     proj_mor = SeifertMorphism(V, Qmod, proj)
     return Qmod, proj_mor, section
@@ -460,13 +460,12 @@ def hom_space(V: SeifertModule, W: SeifertModule) -> list:
         for k in range(nV):
             if (g, k) in made:
                 continue
-            lhs = (b * images[k]).data
+            lhs = b * images[k]
             # column k of C_g
             for c, im in zip(B_inv.apply(a.apply(vectors[k])), images):
                 if c:
-                    lhs = [[x - c * y for x, y in zip(lr, ir)]
-                           for lr, ir in zip(lhs, im.data)]
-            rows.extend(r for r in lhs if any(r))
+                    lhs = lhs - im.scale(c)
+            rows.extend(r for r in lhs.data if any(r))
     kernel = kernel_columns(QMatrix(len(rows), u, rows))
     if kernel.cols == 0:
         return []

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linkwitt.rational import QMatrix
+from linkwitt.rational import QMatrix, rat_str
 from linkwitt.seifert import SeifertError, SeifertForm, SeifertModule
 from linkwitt.covering import (FlkPresentation, GroupRingElem,
                                TruncatedSeries, blanchfield_pairing,
@@ -15,7 +16,8 @@ from linkwitt.covering import (FlkPresentation, GroupRingElem,
                                series_involution, series_matrix_mul,
                                sigma_inverse_series, sigma_inverse_truncated,
                                symmetry_witness, truncated_cokernel_data,
-                               truncated_inverse, word_mul, word_reduce)
+                               truncated_inverse, word_mul, word_reduce,
+                               word_str)
 from linkwitt.covering import NCRationalSeries
 from linkwitt.wittinv import analyze_form
 
@@ -660,3 +662,26 @@ def test_pairing_on_non_integral_forms_matches_fraction_products(mu, degree):
                 expected.update(_nonzero_entries(products, p, q, (i,)))
             assert pairing[p][q].truncated.terms == expected
             assert pairing[p][q].exact.truncate(degree).terms == expected
+
+
+WORDS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
+                 max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(WORDS, max_size=12), st.integers(0, 4))
+def test_series_words_come_in_length_then_word_order(words, degree):
+    # two key-free sorts give the (length, word) order of both series
+    # types: a stable sort by length of the lexicographic order
+    def by_key(ws):
+        return sorted(ws, key=lambda w: (len(w), w))
+
+    positive = {tuple(g for g, _ in w): Fraction(k + 1, 3)
+                for k, w in enumerate(words)}
+    series = TruncatedSeries(degree, positive)
+    assert [name for name, _ in series.serialize()] == [
+        " ".join(f"x{i}" for i in w) or "1" for w in by_key(series.terms)]
+    elem = GroupRingElem({w: Fraction(k + 1, 3) for k, w in enumerate(words)})
+    assert repr(elem) == (" + ".join(
+        f"{rat_str(elem.terms[w])}*{word_str(w)}" for w in by_key(elem.terms))
+        or "0")

@@ -1223,3 +1223,112 @@ def test_each_induced_form_passes_the_full_check(monkeypatch, tmp_path):
     for g in induced:
         assert g._validated
         assert SeifertForm(g.module, g.zeta, g.phi).validate() is None
+
+
+def _element_by_powers(nf, m):
+    # the coordinates of m in the basis 1, theta, .., theta^(d-1) of the
+    # field, from the n^2 x d system of the powers of theta
+    from linkwitt.rational import QPoly, span_coordinates
+    powers = [QMatrix.identity(m.rows)]
+    for _ in range(nf.degree - 1):
+        powers.append(powers[-1] * nf.embedding)
+    coeffs = span_coordinates(powers, [m])
+    return None if coeffs is None else QPoly(coeffs.col(0))
+
+
+def test_an_endomorphism_is_read_off_one_vector():
+    # F = Q[theta] acts faithfully on M and is a field, so r(theta) e_1
+    # determines r: the one-vector solve gives the element the powers of
+    # theta give, for the involution image, the transported scalars and
+    # field elements of every field the reductions build
+    import glob
+    import os
+    import linkwitt.endofield as ef
+    from linkwitt.cli import load_input
+    from linkwitt.rational import QPoly
+    rng = random.Random(0x9B)
+    forms = list(_oracle_forms())
+    forms += [_knot_form(rng, 2) for _ in range(12)]
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                              "data", "*.json"))):
+        try:
+            _module, form = load_input(path)
+        except Exception:
+            continue
+        if form is not None and form.module.dim and form.is_valid():
+            forms.append(form)
+    fields = 0
+    for f in forms:
+        for group in witt_reduce(f).groups:
+            _ring, nf = group.endomorphism_field()
+            if isinstance(nf, ef.NoncommutativeEndomorphism):
+                continue
+            b = group.forms[0].zeta_scaled()
+            B = b.phi
+            image = B.inverse() * nf.embedding.transpose() * B
+            assert nf.involution_image == _element_by_powers(nf, image)
+            elements = [image] + [B.inverse() * g.phi for g in group.forms]
+            elements.append(QPoly([rng.randint(-5, 5)
+                                   for _ in range(nf.degree)])
+                            .eval_matrix(nf.embedding))
+            for m in elements:
+                assert (ef.matrix_to_element(nf, m)
+                        == _element_by_powers(nf, m))
+            for g in group.forms:
+                assert ef.transported_scalar(nf, b, g) == ef.field_reduce(
+                    nf, _element_by_powers(nf, B.inverse() * g.phi)
+                    * g.zeta)
+            fields += 1
+    assert fields >= 40
+
+
+def test_the_bench_ops_keep_their_matrices_as_integer_models(
+        monkeypatch, tmp_path):
+    # the first 120 metabolic_pairs ops of seed 11 made 10,795 fresh
+    # integer_matrix conversions, 25,790 integer_row calls and 69,812
+    # read-outs (_over), 106,397 in all, while every matrix operation read
+    # its operands out to Fractions and converted its result back; on the
+    # models, only the matrices read as Fractions are read out
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt
+    import linkwitt.devissage as dv
+    from linkwitt import cli, rational
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = gen.make_ops("metabolic_pairs", 11, 120)
+    gen.write_ops(ops, str(tmp_path))
+    calls = {"fresh": 0, "integer_row": 0, "_over": 0, "spin": 0,
+             "factor_rational_poly": 0}
+
+    def counted(name, wrapped):
+        def call(*args):
+            calls[name] += 1
+            return wrapped(*args)
+        return call
+
+    def integer_matrix(M, wrapped=rational.integer_matrix):
+        calls["fresh"] += M._ints is None
+        return wrapped(M)
+
+    patches = {"integer_matrix": integer_matrix,
+               "integer_row": counted("integer_row", rational.integer_row),
+               "_over": counted("_over", rational._over)}
+    for path in pathlib.Path(linkwitt.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"linkwitt.{path.stem}")
+        for name, patch in patches.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, patch)
+    for name in ("spin", "factor_rational_poly"):
+        monkeypatch.setattr(dv, name, counted(name, getattr(dv, name)))
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+    monkeypatch.undo()
+    assert calls["spin"] == 942
+    assert calls["factor_rational_poly"] == 248
+    conversions = calls["fresh"] + calls["integer_row"] + calls["_over"]
+    assert conversions == 18525, calls     # 1,620 + 3,690 + 13,215

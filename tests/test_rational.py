@@ -1237,3 +1237,140 @@ def test_the_tarski_query_of_h_prime_g_mod_h_counts_the_same(hc, gc, ends):
             == count
         if count:
             assert sign_at_root(g, h, (a, b)) == count
+
+
+# ---------------------------------------------------------------------------
+# the integer model against schoolbook Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def _school_product(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def _school_rref(rows, cols):
+    # Gauss-Jordan over Q: (nonzero rows of the reduced form, pivots)
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _school_kernel(rows, cols):
+    # one column per free column of the reduced form, as rows of the
+    # cols x k matrix
+    R, pivots = _school_rref(rows, cols)
+    free = [c for c in range(cols) if c not in pivots]
+    vectors = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        vectors.append(v)
+    return [[v[i] for v in vectors] for i in range(cols)]
+
+
+def _school_solve(b, bcols, m, mcols):
+    # X with B X = M, free variables 0, or None
+    R, pivots = _school_rref([x + y for x, y in zip(b, m)], bcols + mcols)
+    if pivots and pivots[-1] >= bcols:
+        return None
+    X = [[Fraction(0)] * mcols for _ in range(bcols)]
+    for r, pc in enumerate(pivots):
+        X[pc] = R[r][bcols:]
+    return X
+
+
+def _model_results(A, B, C, D, S, x):
+    """(name, result, schoolbook rows) of every operation on the model."""
+    r, c, k = A.rows, A.cols, C.cols
+    a, b, cc, d, s = A.data, B.data, C.data, D.data, S.data
+    zero = Fraction(0)
+    R, pivots = _school_rref(a, c)
+    space = RowSpace(c)
+    for row in a:
+        space.add(row)
+    ident = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    horner = [[zero] * r for _ in range(r)]
+    for coeff in (x, 1, x):
+        horner = _school_product(horner, s, r, r)
+        horner = [[y + coeff * int(i == j) for j, y in enumerate(row)]
+                  for i, row in enumerate(horner)]
+    out = [
+        ("product", S * A, _school_product(s, a, r, c)),
+        ("sum", A + B, [[p + q for p, q in zip(u, w)] for u, w in zip(a, b)]),
+        ("difference", A - B,
+         [[p - q for p, q in zip(u, w)] for u, w in zip(a, b)]),
+        ("negation", -A, [[-p for p in u] for u in a]),
+        ("scale", A.scale(x), [[x * p for p in u] for u in a]),
+        ("transpose", A.transpose(), [list(col) for col in zip(*a)]
+         if r else [[] for _ in range(c)]),
+        ("hstack", A.hstack(C), [u + w for u, w in zip(a, cc)]),
+        ("vstack", A.vstack(D), [list(u) for u in a + d]),
+        ("block", A.block(r // 2, r, c // 2, c),
+         [u[c // 2:] for u in a[r // 2:]]),
+        ("diag", QMatrix.diag([A, S]),
+         [list(u) + [zero] * r for u in a]
+         + [[zero] * c + list(u) for u in s]),
+        ("lincomb", lincomb([x, 2], [A, B]),
+         [[x * p + 2 * q for p, q in zip(u, w)] for u, w in zip(a, b)]),
+        ("rref", A.rref()[0], R + [[zero] * c for _ in range(r - len(R))]),
+        ("basis_matrix", space.basis_matrix(), R),
+        ("kernel_columns", kernel_columns(A), _school_kernel(a, c)),
+        ("eval_matrix", QPoly([x, 1, x]).eval_matrix(S), horner),
+        ("coordinates", coordinates(A, C), _school_solve(a, c, cc, k)),
+        ("inverse", solve_or_kernel(S).inverse,
+         _school_solve(s, r, ident, r)),
+    ]
+    assert A.rref()[1] == pivots
+    return out
+
+
+@integer_kernel_cases(120)
+@given(builder_operands())
+@example((QMatrix.zeros(0, 3), QMatrix.zeros(0, 3), QMatrix.zeros(0, 2),
+          QMatrix.zeros(3, 3), QMatrix.zeros(0, 0), Fraction(BIG, 7)))
+@example((QMatrix.zeros(3, 0), QMatrix.zeros(3, 0), QMatrix(3, 2, HUGE + [
+    [Fraction(1, 3), 0]]), QMatrix.zeros(0, 0), QMatrix.identity(3),
+    Fraction(0)))
+@example((QMatrix(2, 2, HUGE), QMatrix(2, 2, COPRIME), QMatrix(2, 2, HUGE),
+          QMatrix(2, 2, COPRIME_TOO), QMatrix(2, 2, HUGE), Fraction(-1, BIG)))
+def test_the_model_algebra_is_schoolbook_fraction_arithmetic(case):
+    # every operation on integer models gives the matrix that Fraction
+    # arithmetic gives; its Fraction view is in lowest terms, in row lists
+    # of its own, read once; its model is a fresh conversion of the view
+    taken = set()
+    for name, M, expected in _model_results(*case):
+        if expected is None:
+            assert M is None, name
+            continue
+        assert M._data is None, name           # no Fraction made yet
+        data = M.data
+        assert M.data is data, name            # the view is built once
+        assert data == expected, name
+        assert len(data) == M.rows, name
+        assert all(len(row) == M.cols for row in data), name
+        assert all(type(q) is Fraction and math.gcd(q.numerator,
+                                                    q.denominator) == 1
+                   for row in data for q in row), name
+        own = {id(row) for row in data}
+        assert len(own) == M.rows and not own & taken, name
+        taken |= own
+        fresh = QMatrix(M.rows, M.cols, [list(row) for row in data])
+        assert integer_matrix(M) == integer_matrix(fresh), name
+        assert M == QMatrix(M.rows, M.cols, M.data), name
+        assert hash(M) == hash(fresh), name
+        assert M.is_zero() == all(not q for row in data for q in row), name
+        assert (M == fresh.scale(2)) == (M.is_zero()), name
