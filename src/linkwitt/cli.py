@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .rational import QMatrix, rat, rat_str
@@ -198,10 +198,12 @@ def _json_chunks(val, newline: str, out: list) -> None:
             items = map(_json_str, val)
         elif (set(map(type, val)) == {list} and all(val)
               and set(map(type, chain.from_iterable(val))) == {str}):
-            # the [word, coefficient] pairs of a serialized series
+            # the [word, coefficient] pairs of a serialized series, joined in C
             deeper = inner + "  "
-            items = ["[" + deeper + ("," + deeper).join(map(_json_str, x))
-                     + inner + "]" for x in val]
+            pairs = map(("," + deeper).join, map(map, repeat(_json_str), val))
+            items = ["[" + deeper
+                     + (inner + "]," + inner + "[" + deeper).join(pairs)
+                     + inner + "]"]
         else:
             sep = "[" + inner
             for x in val:

@@ -6,11 +6,13 @@ Under the Magnus embedding z_i -> 1 + x_i the inverse of sigma is an exact
 rational power series whose word coefficients are signed products of the
 matrices s e_i, and the linking pairing on the presented module is computed
 from that series, by one sweep over the words that keeps each product as
-integer rows over a denominator until it is read out (`_word_products`).
-The pairing's (-zeta)-hermitian symmetry is checked at truncation level:
-the residuals P_ij + zeta bar(P_ji) for i <= j are computed first, and zero
-residuals are themselves the certificate (the witness is zero).  Only a
-nonzero residual is solved for a bounded-support group-ring witness.
+integer rows over a denominator (`_word_products`) and fills the integer
+models of the series from those rows: a series is its model, and its
+`terms` a Fraction view that nothing writes to.  The pairing's
+(-zeta)-hermitian symmetry is checked at truncation level: the residuals
+P_ij + zeta bar(P_ji) for i <= j are computed first, and zero residuals
+are the certificate (the witness is zero).  Only a nonzero residual is
+solved for a bounded-support group-ring witness.
 """
 
 from __future__ import annotations
@@ -215,71 +217,100 @@ def cover_presentation(V: SeifertModule) -> FlkPresentation:
 class TruncatedSeries:
     """Polynomial in noncommuting x_1..x_mu modulo words of length > degree.
 
-    Keys are tuples of generator indices (a word in the positive letters)."""
+    Keys are tuples of generator indices (a word in the positive letters).
+    Held as its integer model (D, N): D > 0 the least common denominator,
+    N {word: D times its coefficient}, no zero value, read and built by
+    every operation.  `terms`, the Fractions in the order of N, is a view,
+    and nothing writes to it (`tests/test_immutable_matrices.py`)."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "_den", "_nums", "_terms")
 
     def __init__(self, degree: int, terms=None):
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if len(w) <= degree:
-                    c = rat(c)
-                    if c:
-                        self.terms[tuple(w)] = c
+        terms = {tuple(w): rat(c) for w, c in (terms or {}).items()
+                 if len(w) <= degree}
+        D = math.lcm(*[c.denominator for c in terms.values()])
+        self.degree, self._den, self._terms = degree, D, None
+        self._nums = {w: c.numerator * (D // c.denominator)
+                      for w, c in terms.items() if c}
+
+    @staticmethod
+    def _model(degree: int, D: int, N: dict) -> "TruncatedSeries":
+        """The trusted constructor, from a new dict N of nonzero integers
+        over D > 0; one gcd pass makes D the least denominator."""
+        g = math.gcd(D, *N.values()) if D > 1 else 1
+        if g > 1:
+            D //= g
+            N = {w: x // g for w, x in N.items()}
+        t = object.__new__(TruncatedSeries)
+        t.degree, t._den, t._nums, t._terms = degree, D, N, None
+        return t
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients as Fractions in lowest terms, a view of
+        the model built on the first read and kept: never change it."""
+        if self._terms is None:
+            N = self._nums
+            self._terms = dict(zip(N, _over(self._den, N.values())))
+        return self._terms
 
     @staticmethod
     def constant(c, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(degree, {(): rat(c)})
+        c = rat(c)
+        return TruncatedSeries._model(
+            degree, c.denominator,
+            {(): c.numerator} if c and degree >= 0 else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def coeff(self, w) -> Fraction:
         return self.terms.get(tuple(w), Q0)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
-                and self.degree == other.degree and self.terms == other.terms)
+                and self.degree == other.degree and self._den == other._den
+                and self._nums == other._nums)
 
     def __add__(self, other):
         d = min(self.degree, other.degree)
-        out = {w: c for w, c in self.terms.items() if len(w) <= d}
-        for w, c in other.terms.items():
+        D = math.lcm(self._den, other._den)
+        s, t = D // self._den, D // other._den
+        out = {w: s * x for w, x in self._nums.items() if len(w) <= d}
+        for w, x in other._nums.items():
             if len(w) <= d:
-                out[w] = out.get(w, Q0) + c
-        return TruncatedSeries(d, out)
+                out[w] = out.get(w, 0) + t * x
+        return TruncatedSeries._model(d, D, {w: x for w, x in out.items()
+                                             if x})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(self.degree,
-                               {w: -c for w, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TruncatedSeries(self.degree,
-                                   {w: c * x for w, x in self.terms.items()})
+            other = TruncatedSeries.constant(other, self.degree)
         d = min(self.degree, other.degree)
         out = {}
-        for w1, c1 in self.terms.items():
+        for w1, c1 in self._nums.items():
             if len(w1) > d:
                 continue
-            for w2, c2 in other.terms.items():
+            for w2, c2 in other._nums.items():
                 if len(w1) + len(w2) > d:
                     continue
                 w = w1 + w2
-                out[w] = out.get(w, Q0) + c1 * c2
-        return TruncatedSeries(d, out)
+                out[w] = out.get(w, 0) + c1 * c2
+        return TruncatedSeries._model(d, self._den * other._den,
+                                      {w: x for w, x in out.items() if x})
 
     __rmul__ = __mul__
 
     def truncate(self, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(degree, {w: c for w, c in self.terms.items()
-                                        if len(w) <= degree})
+        return TruncatedSeries._model(degree, self._den,
+                                      {w: x for w, x in self._nums.items()
+                                       if len(w) <= degree})
 
     def serialize(self, names: dict | None = None) -> list:
         """[word, coefficient] string pairs in (length, word) order (a
@@ -289,13 +320,15 @@ class TruncatedSeries:
         built once for the matrix."""
         if names is None:
             names = {}
-        terms = self.terms
+        N, D = self._nums, self._den
         out = []
-        for w in sorted(sorted(terms), key=len):
+        for w in sorted(sorted(N), key=len):
             name = names.get(w)
             if name is None:
                 name = names[w] = " ".join([f"x{i}" for i in w]) or "1"
-            out.append([name, rat_str(terms[w])])
+            x = N[w]
+            g = math.gcd(x, D)
+            out.append([name, str(x // g) if g == D else f"{x // g}/{D // g}"])
         return out
 
     def __repr__(self):
@@ -305,12 +338,11 @@ class TruncatedSeries:
 
 def magnus_letter(i: int, exponent: int, degree: int) -> TruncatedSeries:
     if exponent == 1:
-        return TruncatedSeries(degree, {(): Q1, (i,): Q1})
+        return TruncatedSeries._model(degree, 1, {w: 1 for w in ((), (i,))
+                                                  if len(w) <= degree})
     # (1 + x)^{-1} = 1 - x + x^2 - ...
-    terms = {(): Q1}
-    for k in range(1, degree + 1):
-        terms[(i,) * k] = Q1 if k % 2 == 0 else -Q1
-    return TruncatedSeries(degree, terms)
+    return TruncatedSeries._model(degree, 1, {(i,) * k: (-1) ** k
+                                              for k in range(degree + 1)})
 
 
 def magnus_expand(g: GroupRingElem, degree: int) -> TruncatedSeries:
@@ -333,12 +365,11 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
 
     In closed form: in the reversed word, a maximal run of k copies of x_i
     becomes x_i^L for each L >= k, with coefficient (-1)^L C(L-1, k-1) (the
-    compositions of L into k parts), within the degree."""
+    compositions of L into k parts), within the degree.  It runs on the
+    model: the numerators of t, over its denominator."""
     d = t.degree if degree is None else degree
-    # integer numerators over one common denominator until the end
-    den = math.lcm(*(c.denominator for c in t.terms.values()))
     out = {}
-    for w, c in t.terms.items():
+    for w, c in t._nums.items():
         slack = d - len(w)
         if slack < 0:
             continue
@@ -349,7 +380,7 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
             else:
                 runs.append([i, 1])
         # (word so far, numerator, degree left to spread over the runs)
-        partial = [((), c.numerator * (den // c.denominator), slack)]
+        partial = [((), c, slack)]
         for i, k in runs:
             pieces = [(i,) * (k + e) for e in range(slack + 1)]
             weights = [(-1) ** (k + e) * math.comb(k + e - 1, k - 1)
@@ -358,7 +389,8 @@ def series_involution(t: TruncatedSeries, degree: int | None = None
                        for v, a, room in partial for e in range(room + 1)]
         for v, a, _ in partial:
             out[v] = out.get(v, 0) + a
-    return TruncatedSeries(d, {v: Fraction(a, den) for v, a in out.items()})
+    return TruncatedSeries._model(d, t._den, {v: a for v, a in out.items()
+                                             if a})
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +423,18 @@ def _word_products(start: QMatrix, transitions: list, degree: int):
 
 def _series_matrix(states, n: int, degree: int) -> list:
     """n x n matrix of truncated series: entry (p, q) has, at each word w of
-    the (w, (D, N)) pairs of `_word_products`, the coefficient N[p][q] / D in
-    lowest terms from one gcd; only the nonzero entries are visited."""
-    out = [[TruncatedSeries(degree) for _ in range(n)] for _ in range(n)]
-    terms = [[t.terms for t in row] for row in out]
-    for w, (D, rows) in states:
-        values = iter(_over(D, [x for row in rows for _, x in row]))
-        for cells, row in zip(terms, rows):
-            for q, _ in row:
-                cells[q][w] = next(values)
-    return out
+    the (w, (D_w, N)) pairs of `_word_products`, the coefficient N[p][q] /
+    D_w, filled into the models over the lcm of the D_w with no Fraction."""
+    states = list(states)
+    D = math.lcm(*{d for _, (d, _) in states})
+    nums = [[{} for _ in range(n)] for _ in range(n)]
+    for w, (d, rows) in states:
+        s = D // d
+        for cells, row in zip(nums, rows):
+            for q, x in row:
+                cells[q][w] = s * x
+    return [[TruncatedSeries._model(degree, D, N) for N in row]
+            for row in nums]
 
 
 def _sigma_transitions(V: SeifertModule) -> list:
@@ -474,17 +508,9 @@ def magnus_matrix(pres: FlkPresentation, degree: int):
 
 
 def series_matrix_mul(A, B, degree: int):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    k = len(B)
-    out = [[TruncatedSeries(degree) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = TruncatedSeries(degree)
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
+    cols = list(zip(*B))
+    return [[sum((a * b for a, b in zip(row, col)), TruncatedSeries(degree))
+             for col in cols] for row in A]
 
 
 def truncated_inverse(pres: FlkPresentation, degree: int):
@@ -673,14 +699,8 @@ def _trunc_of(x) -> TruncatedSeries:
 
 
 def _pairing_mu(pairing) -> int:
-    mu = 1
-    for row in pairing:
-        for x in row:
-            t = _trunc_of(x)
-            for w in t.terms:
-                for i in w:
-                    mu = max(mu, i)
-    return mu
+    return max([1] + [i for row in pairing for x in row
+                      for w in _trunc_of(x)._nums for i in w])
 
 
 # ---------------------------------------------------------------------------

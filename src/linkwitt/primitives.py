@@ -10,6 +10,7 @@ under duality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .rational import QMatrix, kernel_columns, spin
 from .seifert import (SeifertError, SeifertModule, SeifertMorphism,
@@ -23,9 +24,8 @@ def _layer_preimages(V: SeifertModule, ann: QMatrix):
     V / U with s = 0 and with s = 1."""
     a_s = ann * V.s
     a_1s = ann - a_s
-    return tuple(kernel_columns(QMatrix._of(ann.rows * V.mu, V.dim,
-                                            [row for e in V.projections
-                                             for row in (m * e).data]))
+    return tuple(kernel_columns(reduce(QMatrix.vstack,
+                                       [m * e for e in V.projections]))
                  for m in (a_s, a_1s))
 
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -426,3 +429,125 @@ _STRING_LIST_DOCS = st.dictionaries(st.text(max_size=3), st.one_of(
 def test_json_writer_matches_json_dumps_on_string_lists(doc):
     assert emit(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) \
         + "\n"
+
+
+# a JSON-level oracle for `cover`: every coefficient of the report against
+# Fraction products computed here from the input document alone
+def _fraction_matrix(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _fraction_product(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
+
+
+def _input_matrices(path):
+    # s and the projections e_i of the input file, and phi (or None)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = doc["dim"]
+    proj = doc["projections"]
+    if proj["type"] == "blocks":
+        starts = [sum(proj["sizes"][:i]) for i in range(doc["mu"])]
+        projections = [[[Fraction(int(r == c and a <= r < a + size))
+                         for c in range(n)] for r in range(n)]
+                       for a, size in zip(starts, proj["sizes"])]
+    else:
+        projections = [_fraction_matrix(m) for m in proj["pi"]]
+    form = doc.get("form")
+    return (_fraction_matrix(doc["s"]), projections,
+            _fraction_matrix(form["phi"]) if form else None)
+
+
+def _words_and_products(start, steps, degree):
+    # {word: start (-s e_{i1}) ... (-s e_{ik})} over the words of length
+    # <= degree whose product is not zero: a zero product stays zero
+    out = {}
+    level = [((), start)] if degree >= 0 else []
+    for length in range(degree + 1):
+        level = [(w, m) for w, m in level if any(map(any, m))]
+        out.update(level)
+        if length < degree:
+            level = [(w + (i,), _fraction_product(m, t)) for w, m in level
+                     for i, t in enumerate(steps, start=1)]
+    return out
+
+
+def _expected_series(products, p, q):
+    # the serialized entry (p, q): [name, coefficient] in (length, word)
+    # order
+    return [[" ".join(f"x{i}" for i in w) or "1", str(m[p][q])]
+            for w, m in sorted(products.items(),
+                               key=lambda item: (len(item[0]), item[0]))
+            if m[p][q]]
+
+
+def _cover_oracle_mismatches(path, degree):
+    # the keys of the report of `cover path --degree degree` whose
+    # coefficients differ from the Fraction products
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["cover", path, "--degree", str(degree),
+                     "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    s, projections, phi = _input_matrices(path)
+    n = len(s)
+    steps = [[[-x for x in row] for row in _fraction_product(s, e)]
+             for e in projections]
+    ident = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    inverse = _words_and_products(ident, steps, degree)
+    bad = []
+    if doc["sigma_inverse_truncated"] != [
+            [_expected_series(inverse, p, q) for q in range(n)]
+            for p in range(n)]:
+        bad.append("sigma_inverse_truncated")
+    if phi is not None:
+        # the coefficient of x_i w is phi^T (-e_i) times that of w in
+        # sigma^-1
+        phiT = [list(col) for col in zip(*phi)]
+        pairing = {}
+        for i, e in enumerate(projections, start=1):
+            start = _fraction_product(phiT, [[-x for x in row] for row in e])
+            for w, m in _words_and_products(start, steps,
+                                            degree - 1).items():
+                pairing[(i,) + w] = m
+        if doc["pairing"] != [[_expected_series(pairing, p, q)
+                               for q in range(n)] for p in range(n)]:
+            bad.append("pairing")
+    return bad
+
+
+def _cover_oracle_cases(tmp_path, monkeypatch):
+    # the seed-11 cover_series ops that carry a form at their degrees, and
+    # every fixture that cover accepts at degree 6
+    import importlib
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(DATA), "..",
+                                             "bench"))
+    gen = importlib.import_module("gen")
+    ops = [op for op in gen.make_ops("cover_series", 11, 240)
+           if op["kind"] == "pairing"]
+    gen.write_ops(ops, str(tmp_path))
+    cases = [(op["argv"][1], int(op["argv"][3])) for op in ops]
+    return cases + [(_path(name), 6) for name in sorted(os.listdir(DATA))
+                    if name.endswith(".json")
+                    and name != "corrupt_projections.json"]
+
+
+def test_cover_reports_match_fraction_products(tmp_path, monkeypatch):
+    cases = _cover_oracle_cases(tmp_path, monkeypatch)
+    assert len(cases) == 88
+    found = [(path, _cover_oracle_mismatches(path, degree))
+             for path, degree in cases]
+    assert [(path, bad) for path, bad in found if bad] == []
+
+
+def test_the_cover_oracle_sees_a_negated_pairing(tmp_path, monkeypatch):
+    import linkwitt.cli as cli
+    pairing = cli.blanchfield_pairing
+    monkeypatch.setattr(cli, "blanchfield_pairing",
+                        lambda f, degree: pairing(f.negate(), degree))
+    cases = _cover_oracle_cases(tmp_path, monkeypatch)[:12] + [
+        (_path("worked_example.json"), 6)]
+    for path, degree in cases:
+        assert _cover_oracle_mismatches(path, degree) == ["pairing"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -685,3 +686,164 @@ def test_series_words_come_in_length_then_word_order(words, degree):
     assert repr(elem) == (" + ".join(
         f"{rat_str(elem.terms[w])}*{word_str(w)}" for w in by_key(elem.terms))
         or "0")
+
+
+# the series models against schoolbook Fraction dicts: every operation on
+# (D, numerators) gives the coefficients, in the order, that the
+# coefficientwise Fraction code gives
+_SERIES_WORDS = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+_COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 30)))
+_SERIES_DICTS = st.dictionaries(_SERIES_WORDS, _COEFFICIENTS, max_size=6)
+_DEGREES = st.integers(-1, 4)
+
+
+def _school_series(degree, terms):
+    return {w: Fraction(c) for w, c in terms.items()
+            if len(w) <= degree and c}
+
+
+def _school_add(d1, a, d2, b, sign=1):
+    d = min(d1, d2)
+    out = {w: c for w, c in a.items() if len(w) <= d}
+    for w, c in b.items():
+        if len(w) <= d:
+            out[w] = out.get(w, Fraction(0)) + sign * c
+    return d, {w: c for w, c in out.items() if c}
+
+
+def _school_mul(d1, a, d2, b):
+    d = min(d1, d2)
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if len(w1) + len(w2) <= d:
+                out[w1 + w2] = out.get(w1 + w2, Fraction(0)) + c1 * c2
+    return d, {w: c for w, c in out.items() if c}
+
+
+def _school_involution(d, a):
+    # bar x_i = sum_{L >= 1} (-1)^L x_i^L in the reversed word, one letter
+    # at a time
+    out = {}
+    for w, c in a.items():
+        if len(w) > d:
+            continue
+        partial = [((), c)]
+        for i in reversed(w):
+            partial = [(v + (i,) * L, x * (-1) ** L) for v, x in partial
+                       for L in range(1, d - len(v) + 1)]
+        for v, x in partial:
+            out[v] = out.get(v, Fraction(0)) + x
+    return {w: c for w, c in out.items() if c}
+
+
+def _check_model(t, degree, expected):
+    # lowest terms, the least denominator, the view built once and in the
+    # model's order, and == as on the schoolbook result
+    assert t.degree == degree
+    assert t.terms == expected and list(t.terms) == list(expected)
+    assert t.terms is t.terms
+    assert list(t.terms) == list(t._nums)
+    for c in t.terms.values():
+        assert c and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+    D = math.lcm(*[c.denominator for c in expected.values()])
+    assert t._den == D
+    assert t._nums == {w: int(c * D) for w, c in expected.items()}
+    assert t == TruncatedSeries(degree, expected)
+    assert t.serialize() == [
+        [" ".join(f"x{i}" for i in w) or "1", str(c)]
+        for w, c in sorted(expected.items(), key=lambda x: (len(x[0]), x[0]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DEGREES, _SERIES_DICTS, _DEGREES, _SERIES_DICTS, _COEFFICIENTS,
+       st.integers(1, 3), st.sampled_from([1, -1]))
+def test_series_models_match_schoolbook_fraction_dicts(d1, t1, d2, t2, c, i,
+                                                       exponent):
+    a, b = _school_series(d1, t1), _school_series(d2, t2)
+    A, B = TruncatedSeries(d1, t1), TruncatedSeries(d2, t2)
+    _check_model(A, d1, a)
+    _check_model(A + B, *_school_add(d1, a, d2, b))
+    _check_model(A - B, *_school_add(d1, a, d2, b, -1))
+    _check_model(-A, d1, {w: -x for w, x in a.items()})
+    _check_model(A * B, *_school_mul(d1, a, d2, b))
+    _check_model(A * c, d1, {w: x * c for w, x in a.items() if x * c})
+    _check_model(c * A, d1, {w: x * c for w, x in a.items() if x * c})
+    _check_model(A.truncate(d2), d2,
+                 {w: x for w, x in a.items() if len(w) <= d2})
+    _check_model(TruncatedSeries.constant(c, d1), d1,
+                 _school_series(d1, {(): c}))
+    letter = ({(): 1, (i,): 1} if exponent == 1
+              else {(i,) * k: (-1) ** k for k in range(d1 + 1)})
+    _check_model(magnus_letter(i, exponent, d1), d1,
+                 _school_series(d1, letter))
+    _check_model(series_involution(A), d1, _school_involution(d1, a))
+    _check_model(series_involution(A, d2), d2, _school_involution(d2, a))
+    # a 2 x 2 matrix product over the entries A, B, c A, A - B
+    left, right = [[A, B], [A * c, A - B]], [[B, A], [B - A, A]]
+    for p, row in enumerate(series_matrix_mul(left, right, d1)):
+        for q, entry in enumerate(row):
+            d, acc = d1, {}
+            for k in range(2):
+                x, y = left[p][k], right[k][q]
+                d, acc = _school_add(d, acc, *_school_mul(
+                    x.degree, x.terms, y.degree, y.terms))
+            _check_model(entry, d, acc)
+
+
+def test_the_cover_ops_build_their_series_without_fractions(monkeypatch,
+                                                           tmp_path):
+    # Fractions built (by Fraction.__new__, by the _from_coprime_ints of
+    # Python >= 3.12 and by _over) over the 80 seed-11 cover_series ops
+    # without a form and the 80 with one: 102,940 and 15,016 while every
+    # series coefficient was a Fraction; on the integer models only the
+    # input, the presentation and the matrices read as Fractions build them
+    import contextlib
+    import importlib
+    import io
+    import pathlib
+    import linkwitt
+    from linkwitt import cli, rational
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    ops = [op for op in gen.make_ops("cover_series", 11, 240)
+           if op["kind"] in ("series", "pairing")]
+    gen.write_ops(ops, str(tmp_path))
+    built = [0]
+
+    def over(D, xs, wrapped=rational._over):
+        out = wrapped(D, xs)
+        built[0] += sum(x is not rational.Q0 for x in out)
+        return out
+
+    def new(cls, *args, wrapped=Fraction.__new__, **kwargs):
+        built[0] += 1
+        return wrapped(cls, *args, **kwargs)
+
+    for path in pathlib.Path(linkwitt.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"linkwitt.{path.stem}")
+        if hasattr(module, "_over"):
+            monkeypatch.setattr(module, "_over", over)
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
+    if coprime is not None:
+        def from_coprime_ints(cls, n, d):
+            built[0] += 1
+            return coprime.__func__(cls, n, d)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(from_coprime_ints))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    counts = {"series": 0, "pairing": 0}
+    for op in ops:
+        before = built[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op["argv"]) == 0
+        counts[op["kind"]] += built[0] - before
+    monkeypatch.undo()
+    assert sum(op["kind"] == "series" for op in ops) == 80
+    assert counts == {"series": 6676, "pairing": 5864}

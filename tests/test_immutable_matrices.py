@@ -164,3 +164,75 @@ def test_the_form_guard_allows_reads_and_the_constructors():
         "    out._validated = g._validated\n"
         "    gens = [g.module.s] + g.module.projections\n"
         "    gens.append(phi)\n") == []
+
+
+# a TruncatedSeries is its integer model and `terms` a Fraction view of it,
+# so a write to the view would leave the model, which every series
+# operation reads, stale; GroupRingElem's `terms` is its state, built in
+# its constructor
+DICT_MUTATORS = MUTATORS | {"update", "popitem", "setdefault"}
+TERMS_CONSTRUCTORS = {("GroupRingElem", "__init__")}
+
+
+def _is_terms(node) -> bool:
+    """`<expr>.terms` or `<expr>.terms[w]`."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _writes_to_terms(source: str) -> list:
+    """Line numbers of the writes to `terms` outside GroupRingElem's
+    constructor."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if tuple(scope[-2:]) not in TERMS_CONSTRUCTORS:
+            if any(_is_terms(t) for t in _targets(node)):
+                found.append(node.lineno)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in DICT_MUTATORS
+                    and _is_terms(node.func.value)):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_no_write_to_series_terms_outside_the_group_ring_constructor():
+    found = []
+    for path in sorted(pathlib.Path(linkwitt.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in
+                  _writes_to_terms(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("statement", [
+    "t.terms = {}", "t.terms[w] = c", "t.terms[w] += c", "del t.terms[w]",
+    "a, t.terms = 1, {}", "t.terms.update(d)", "t.terms.pop(w)",
+    "t.terms.setdefault(w, c)", "t.terms.clear()", "t.terms.popitem()",
+    "f().terms[w] = c"])
+def test_the_terms_guard_sees_each_kind_of_write(statement):
+    assert _writes_to_terms(f"def f(t):\n    {statement}\n") == [2]
+
+
+def test_the_terms_guard_allows_reads_and_the_group_ring_constructor():
+    assert _writes_to_terms(
+        "class GroupRingElem:\n"
+        "    def __init__(self, terms):\n"
+        "        self.terms = {}\n"
+        "        self.terms[w] = self.terms.get(w, 0) + c\n"
+        "class TruncatedSeries:\n"
+        "    def __init__(self, degree, terms):\n"
+        "        self._terms = dict(terms)\n"
+        "def f(t, out):\n"
+        "    c = t.terms.get(w)\n"
+        "    out.update(t.terms)\n"
+        "    d = dict(t.terms)\n"
+        "    d[w] = c\n") == []
